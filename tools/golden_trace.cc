@@ -12,13 +12,18 @@
 // prints a diff summary (first divergence, per-event-type counts) so a
 // blessing commit documents exactly what changed and why.
 //
-// Determinism contract: scenarios pin the RNG seed and use the in-repo
-// DistilledPolicy for Astraea explicitly — no ASTRAEA_MODEL env lookup, no
-// checkpoint files — so a golden depends only on the simulator + controller
-// code. Traces are recorded into the in-memory ring (Format::kNone) and
-// written out afterwards, which also keeps --check allocation-free in the
-// hot loop. Goldens are bit-exact per platform/compiler; regenerate with
-// --bless when a change intentionally alters dynamics (see DESIGN.md §10).
+// Determinism contract: scenarios pin the RNG seed and pin Astraea's policy
+// explicitly — never an ASTRAEA_MODEL env lookup. `astraea` runs the in-repo
+// DistilledPolicy, so its goldens depend only on the simulator + controller
+// code. `astraea_mlp` runs the committed checkpoint
+// models/astraea_policy_trained.ckpt through MlpPolicy, so its goldens also
+// pin the MLP inference kernels; a run that cannot load the checkpoint is
+// fatal (never a fallback), and committing a new checkpoint needs a re-bless
+// of the astraea_mlp goldens. Traces are recorded into the in-memory ring
+// (Format::kNone) and written out afterwards, which also keeps --check
+// allocation-free in the hot loop. Goldens are bit-exact per
+// platform/compiler; regenerate with --bless when a change intentionally
+// alters dynamics (see DESIGN.md §10).
 
 #include <cstdio>
 #include <cstdlib>
@@ -64,9 +69,21 @@ constexpr GoldenScenario kScenarios[] = {
 };
 
 // The paper's comparison set (schemes.h) minus orca, whose reproduction is
-// still tracked in ROADMAP.md.
-constexpr const char* kSchemes[] = {"newreno", "cubic", "vegas",  "bbr",  "copa",
-                                    "vivace",  "aurora", "remy", "astraea"};
+// still tracked in ROADMAP.md, plus `astraea_mlp`: the Astraea controller on
+// the committed trained checkpoint instead of the distilled policy.
+constexpr const char* kSchemes[] = {"newreno", "cubic", "vegas", "bbr",     "copa",
+                                    "vivace",  "aurora", "remy", "astraea", "astraea_mlp"};
+constexpr const char* kMlpScheme = "astraea_mlp";
+
+std::shared_ptr<const Policy> TrainedPolicy() {
+  const std::string path = std::string(ASTRAEA_SOURCE_DIR) + "/models/astraea_policy_trained.ckpt";
+  try {
+    return MlpPolicy::LoadFromFile(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "FATAL: %s needs %s: %s\n", kMlpScheme, path.c_str(), e.what());
+    std::exit(2);
+  }
+}
 
 // Universe scenario set (ROADMAP item 4): one golden per family, each with a
 // small per-family scheme subset (ECN-capable DCTCP only makes sense on the
@@ -151,11 +168,14 @@ std::vector<TraceEvent> RunGolden(const GoldenScenario& sc, const std::string& s
   DumbbellScenario scenario(BuildDumbbellConfig(opts));
   // Pin the policy: goldens must not depend on ASTRAEA_MODEL or checkpoint
   // files lying around.
-  scenario.scheme_options().astraea_policy = std::make_shared<DistilledPolicy>();
+  const bool mlp = scheme == kMlpScheme;
+  scenario.scheme_options().astraea_policy =
+      mlp ? TrainedPolicy() : std::make_shared<DistilledPolicy>();
+  const std::string controller = mlp ? "astraea" : scheme;
 
-  scenario.AddFlow(scheme, 0);
+  scenario.AddFlow(controller, 0);
   if (sc.flows > 1) {
-    scenario.AddFlow(scheme, Seconds(sc.second_flow_start_s));
+    scenario.AddFlow(controller, Seconds(sc.second_flow_start_s));
   }
 
   Tracer tracer("", Tracer::Format::kNone, 1 << 20);
