@@ -1,7 +1,8 @@
 // Kernel and harness performance trajectory for this repo: per-step actor
-// inference latency, TD3 training throughput on the batched vs the per-sample
-// reference path, batched inference-service cost, and parallel experiment
-// harness scenario throughput (1 worker vs all cores).
+// inference latency, per-row inference cost across batch sizes, TD3 training
+// throughput on the batched vs the per-sample reference path, batched
+// inference-service cost, and parallel experiment harness scenario throughput
+// (1 worker vs all cores).
 //
 // Prints a table and emits BENCH_kernels.json (override with --out=PATH) so
 // successive PRs can track the numbers. `--quick` shrinks the harness stage.
@@ -9,6 +10,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +61,10 @@ double TimePerCall(double min_time, Fn&& fn) {
 constexpr int kLocalDim = 40;
 constexpr int kGlobalDim = 12;
 constexpr size_t kTrainBatch = 256;
+// Batch sizes for the per-row inference sweep: the serving path's small
+// batches (1-2 rows), both sides of 4-row tile boundaries, and the training
+// batch.
+constexpr size_t kSweepBatches[] = {1, 2, 4, 8, 15, 16, 64, 256};
 
 Mlp PaperActor(uint64_t seed = 1) {
   Rng rng(seed);
@@ -124,6 +131,14 @@ int Main(int argc, char** argv) {
   const double fwd_batch_s =
       TimePerCall(0.3, [&] { actor.ForwardBatch(batch_states, kTrainBatch); });
 
+  // ---- Inference per row across batch sizes, on the allocation-free path.
+  std::vector<double> sweep_us_per_row;
+  for (const size_t batch : kSweepBatches) {
+    const std::span<const float> rows(batch_states.data(), batch * kLocalDim);
+    const double s = TimePerCall(0.2, [&] { actor.InferBatchSpan(rows, batch); });
+    sweep_us_per_row.push_back(s * 1e6 / static_cast<double>(batch));
+  }
+
   // ---- Inference-service flush at 256 pending flows.
   InferenceService service(PaperActor());
   const double flush_s = TimePerCall(0.3, [&] {
@@ -171,6 +186,10 @@ int Main(int argc, char** argv) {
   table.AddRow({"actor inference (us/step)", ConsoleTable::Num(infer_s * 1e6)});
   table.AddRow({"actor ForwardBatch-256 (us/row)",
                 ConsoleTable::Num(fwd_batch_s * 1e6 / kTrainBatch)});
+  for (size_t i = 0; i < std::size(kSweepBatches); ++i) {
+    table.AddRow({"actor InferBatch-" + std::to_string(kSweepBatches[i]) + " (us/row)",
+                  ConsoleTable::Num(sweep_us_per_row[i])});
+  }
   table.AddRow({"service flush-256 (us/flow)",
                 ConsoleTable::Num(flush_s * 1e6 / kTrainBatch)});
   table.AddRow({"TD3 updates/s (batched, B=256)", ConsoleTable::Num(1.0 / update_batched_s, 1)});
@@ -188,11 +207,19 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+  std::string sweep_json;
+  for (size_t i = 0; i < std::size(kSweepBatches); ++i) {
+    char entry[64];
+    std::snprintf(entry, sizeof(entry), "%s\"%zu\": %.4f", i == 0 ? "" : ", ",
+                  kSweepBatches[i], sweep_us_per_row[i]);
+    sweep_json += entry;
+  }
   std::fprintf(out,
                "{\n"
                "  \"host_cores\": %zu,\n"
                "  \"actor_infer_us\": %.3f,\n"
                "  \"actor_forward_batch256_us_per_row\": %.4f,\n"
+               "  \"actor_infer_batch_us_per_row\": {%s},\n"
                "  \"service_flush256_us_per_flow\": %.4f,\n"
                "  \"td3_updates_per_sec_batched\": %.2f,\n"
                "  \"td3_updates_per_sec_reference\": %.2f,\n"
@@ -206,7 +233,7 @@ int Main(int argc, char** argv) {
                "    \"scaling_efficiency\": %.3f\n"
                "  }\n"
                "}\n",
-               cores, infer_s * 1e6, fwd_batch_s * 1e6 / kTrainBatch,
+               cores, infer_s * 1e6, fwd_batch_s * 1e6 / kTrainBatch, sweep_json.c_str(),
                flush_s * 1e6 / kTrainBatch, 1.0 / update_batched_s,
                1.0 / update_reference_s, td3_speedup, harness_reps, cores, serial_s,
                parallel_s, harness_speedup, scaling_efficiency);

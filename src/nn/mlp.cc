@@ -1,5 +1,6 @@
 #include "src/nn/mlp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -49,7 +50,6 @@ void Mlp::BuildLayout() {
     layers_.push_back(layer);
   }
   params_.assign(offset, 0.0f);
-  grads_.assign(offset, 0.0f);
 }
 
 void Mlp::InitParams(Rng* rng) {
@@ -60,6 +60,58 @@ void Mlp::InitParams(Rng* rng) {
       params_[layer.w_offset + i] = static_cast<float>(rng->Uniform(-bound, bound));
     }
   }
+  wt_stale_ = true;
+}
+
+void Mlp::EnsureGrads() {
+  if (grads_.empty()) {
+    grads_.assign(params_.size(), 0.0f);
+  }
+}
+
+std::span<float> Mlp::grads() {
+  EnsureGrads();
+  return grads_;
+}
+
+void Mlp::SetParams(std::span<const float> params) {
+  ASTRAEA_CHECK(params.size() == params_.size());
+  std::copy(params.begin(), params.end(), params_.begin());
+  wt_stale_ = true;
+}
+
+void Mlp::AdamStep(Adam* opt, float scale) {
+  opt->Step(params_, grads(), scale);
+  wt_stale_ = true;
+}
+
+const float* Mlp::ForwardParams() const {
+  if (wt_stale_) {
+    wt_.resize(params_.size());
+    for (const LayerView& layer : layers_) {
+      const size_t in = static_cast<size_t>(layer.in);
+      const size_t out = static_cast<size_t>(layer.out);
+      const float* w = params_.data() + layer.w_offset;
+      float* wt = wt_.data() + layer.w_offset;
+      // 8x8-blocked transpose: full cache-line use on both the reads and the
+      // strided writes.
+      constexpr size_t kTB = 8;
+      for (size_t ob = 0; ob < out; ob += kTB) {
+        const size_t oend = std::min(ob + kTB, out);
+        for (size_t ib = 0; ib < in; ib += kTB) {
+          const size_t iend = std::min(ib + kTB, in);
+          for (size_t o = ob; o < oend; ++o) {
+            for (size_t i = ib; i < iend; ++i) {
+              wt[i * out + o] = w[o * in + i];
+            }
+          }
+        }
+      }
+      std::copy_n(params_.data() + layer.b_offset, out, wt_.data() + layer.b_offset);
+    }
+    wt_stale_ = false;
+  }
+  return wt_.data();
 }
 
 void Mlp::ForwardInto(std::span<const float> input, std::vector<std::vector<float>>* pre,
@@ -118,134 +170,85 @@ void Mlp::ApplyOutputActivation(bool is_last, float* y, size_t n) const {
   }
 }
 
+namespace {
+
+// One register tile of a dense layer: rows [0, kRows) of x (row stride `in`)
+// times outputs [o, o + kCols) of the [in x out] transposed weights `wt`. The
+// accumulators start at the bias, gather the whole i-reduction in ascending-i
+// order without touching y, and are stored once: each output sums exactly the
+// per-sample reference's terms in the reference's order, so results are
+// bit-identical to it, while the unit-stride k-loop vectorizes.
+template <size_t kRows, size_t kCols>
+[[gnu::always_inline]] inline void DenseTile(const float* x, size_t in, const float* wt,
+                                             const float* b, size_t out, size_t o, float* y) {
+  float acc[kRows][kCols];
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t k = 0; k < kCols; ++k) {
+      acc[r][k] = b[o + k];
+    }
+  }
+  for (size_t i = 0; i < in; ++i) {
+    const float* wti = wt + i * out + o;
+    float a[kRows];
+    for (size_t r = 0; r < kRows; ++r) {
+      a[r] = x[r * in + i];
+    }
+    // Loop order here changes speed, not results: with k outside r, GCC
+    // vectorizes across k; with r outside, GCC 12 vectorizes the i-loop
+    // instead and the 4-row tile runs ~10x slower.
+    for (size_t k = 0; k < kCols; ++k) {
+      const float w = wti[k];
+      for (size_t r = 0; r < kRows; ++r) {
+        acc[r][k] += a[r] * w;
+      }
+    }
+  }
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t k = 0; k < kCols; ++k) {
+      y[r * out + o + k] = acc[r][k];
+    }
+  }
+}
+
+}  // namespace
+
 ASTRAEA_HOT_CLONES
-void Mlp::LayerForwardBatch(const LayerView& layer, bool is_last, const float* x, size_t batch,
-                            float* y, float* pre) const {
-  const float* w = params_.data() + layer.w_offset;
-  const float* b = params_.data() + layer.b_offset;
+void Mlp::LayerForwardBatch(const float* fp, const LayerView& layer, bool is_last,
+                            const float* x, size_t batch, float* y, float* pre) const {
+  const float* wt = fp + layer.w_offset;
+  const float* b = fp + layer.b_offset;
   const size_t in = static_cast<size_t>(layer.in);
   const size_t out = static_cast<size_t>(layer.out);
 
-  // Small batches (the per-step inference path) don't amortize a weight
-  // transpose; plain row-major dot products win there. Both branches add each
-  // output's terms in ascending-i order, so they agree bit-for-bit.
-  constexpr size_t kTransposeBatchThreshold = 16;
-  if (batch < kTransposeBatchThreshold) {
-    for (size_t r = 0; r < batch; ++r) {
-      const float* xr = x + r * in;
-      float* yr = y + r * out;
-      for (size_t o = 0; o < out; ++o) {
-        const float* wrow = w + o * in;
-        float acc = b[o];
-        for (size_t i = 0; i < in; ++i) {
-          acc += wrow[i] * xr[i];
-        }
-        yr[o] = acc;
-      }
-    }
-    if (pre != nullptr) {
-      std::copy(y, y + batch * out, pre);
-    }
-    ApplyOutputActivation(is_last, y, batch * out);
-    return;
-  }
-
-  // Re-transpose the weights into [in x out] scratch: one pass over the
-  // matrix, amortized across the batch, and it turns the inner loops below
-  // into unit-stride AXPYs the compiler can vectorize. Each output still
-  // accumulates its terms in ascending-i order, so results stay bit-identical
-  // to the per-sample reference path (naive dot products).
-  if (wt_scratch_.size() < in * out) {
-    wt_scratch_.resize(in * out);
-  }
-  float* wt = wt_scratch_.data();
-  {
-    // 8x8-blocked transpose: full cache-line use on both the reads and the
-    // strided writes.
-    constexpr size_t kTB = 8;
-    for (size_t ob = 0; ob < out; ob += kTB) {
-      const size_t oend = ob + kTB <= out ? ob + kTB : out;
-      for (size_t ib = 0; ib < in; ib += kTB) {
-        const size_t iend = ib + kTB <= in ? ib + kTB : in;
-        for (size_t o = ob; o < oend; ++o) {
-          const float* wrow = w + o * in;
-          for (size_t i = ib; i < iend; ++i) {
-            wt[i * out + o] = wrow[i];
-          }
-        }
-      }
-    }
-  }
-
-  // 4-row x 16-output register tiles: the accumulator tile starts at the bias,
-  // gathers the whole i-reduction without touching y, and is stored once. Each
-  // output still sums b[o] + terms in ascending-i order — bit-identical to the
-  // naive dot — while y traffic drops from O(batch*in*out) to O(batch*out).
-  constexpr size_t kOTile = 16;
+  // 4-row x 16-output tiles share each weight load across four rows; the rows
+  // left over (all of them below batch 4, e.g. the per-step inference path)
+  // take one-row tiles 64 outputs wide, enough independent accumulators to
+  // keep the vector adds busy. Narrower output tails fall back to 16-wide and
+  // then single-output tiles.
   size_t r = 0;
   for (; r + 4 <= batch; r += 4) {
-    const float* x0 = x + (r + 0) * in;
-    const float* x1 = x + (r + 1) * in;
-    const float* x2 = x + (r + 2) * in;
-    const float* x3 = x + (r + 3) * in;
-    float* y0 = y + (r + 0) * out;
-    float* y1 = y + (r + 1) * out;
-    float* y2 = y + (r + 2) * out;
-    float* y3 = y + (r + 3) * out;
+    const float* xr = x + r * in;
+    float* yr = y + r * out;
     size_t o = 0;
-    for (; o + kOTile <= out; o += kOTile) {
-      float acc0[kOTile], acc1[kOTile], acc2[kOTile], acc3[kOTile];
-      for (size_t k = 0; k < kOTile; ++k) {
-        acc0[k] = b[o + k];
-        acc1[k] = b[o + k];
-        acc2[k] = b[o + k];
-        acc3[k] = b[o + k];
-      }
-      for (size_t i = 0; i < in; ++i) {
-        const float* wti = wt + i * out + o;
-        const float a0 = x0[i];
-        const float a1 = x1[i];
-        const float a2 = x2[i];
-        const float a3 = x3[i];
-        for (size_t k = 0; k < kOTile; ++k) {
-          acc0[k] += a0 * wti[k];
-          acc1[k] += a1 * wti[k];
-          acc2[k] += a2 * wti[k];
-          acc3[k] += a3 * wti[k];
-        }
-      }
-      for (size_t k = 0; k < kOTile; ++k) {
-        y0[o + k] = acc0[k];
-        y1[o + k] = acc1[k];
-        y2[o + k] = acc2[k];
-        y3[o + k] = acc3[k];
-      }
+    for (; o + 16 <= out; o += 16) {
+      DenseTile<4, 16>(xr, in, wt, b, out, o, yr);
     }
     for (; o < out; ++o) {
-      const float* wrow = w + o * in;
-      float acc0 = b[o], acc1 = b[o], acc2 = b[o], acc3 = b[o];
-      for (size_t i = 0; i < in; ++i) {
-        acc0 += wrow[i] * x0[i];
-        acc1 += wrow[i] * x1[i];
-        acc2 += wrow[i] * x2[i];
-        acc3 += wrow[i] * x3[i];
-      }
-      y0[o] = acc0;
-      y1[o] = acc1;
-      y2[o] = acc2;
-      y3[o] = acc3;
+      DenseTile<4, 1>(xr, in, wt, b, out, o, yr);
     }
   }
   for (; r < batch; ++r) {
     const float* xr = x + r * in;
     float* yr = y + r * out;
-    for (size_t o = 0; o < out; ++o) {
-      const float* wrow = w + o * in;
-      float acc = b[o];
-      for (size_t i = 0; i < in; ++i) {
-        acc += wrow[i] * xr[i];
-      }
-      yr[o] = acc;
+    size_t o = 0;
+    for (; o + 64 <= out; o += 64) {
+      DenseTile<1, 64>(xr, in, wt, b, out, o, yr);
+    }
+    for (; o + 16 <= out; o += 16) {
+      DenseTile<1, 16>(xr, in, wt, b, out, o, yr);
+    }
+    for (; o < out; ++o) {
+      DenseTile<1, 1>(xr, in, wt, b, out, o, yr);
     }
   }
 
@@ -267,6 +270,7 @@ std::vector<float> Mlp::InferBatch(std::span<const float> inputs, size_t batch) 
 
 std::span<const float> Mlp::InferBatchSpan(std::span<const float> inputs, size_t batch) const {
   ASTRAEA_CHECK(inputs.size() == batch * static_cast<size_t>(dims_.front()));
+  const float* fp = ForwardParams();
   // Ping-pong between two grow-only scratch buffers; the input itself serves
   // as the first layer's source, so nothing is copied between layers.
   const float* x = inputs.data();
@@ -279,7 +283,7 @@ std::span<const float> Mlp::InferBatchSpan(std::span<const float> inputs, size_t
       dst.resize(need);
     }
     y = dst.data();
-    LayerForwardBatch(layer, /*is_last=*/l + 1 == layers_.size(), x, batch, y, nullptr);
+    LayerForwardBatch(fp, layer, /*is_last=*/l + 1 == layers_.size(), x, batch, y, nullptr);
     x = y;
   }
   return {y, batch * static_cast<size_t>(dims_.back())};
@@ -287,6 +291,7 @@ std::span<const float> Mlp::InferBatchSpan(std::span<const float> inputs, size_t
 
 std::span<const float> Mlp::ForwardBatch(std::span<const float> inputs, size_t batch) {
   ASTRAEA_CHECK(inputs.size() == batch * static_cast<size_t>(dims_.front()));
+  const float* fp = ForwardParams();
   batch_cached_ = batch;
   batch_input_.assign(inputs.begin(), inputs.end());
   batch_pre_.resize(layers_.size());
@@ -301,7 +306,7 @@ std::span<const float> Mlp::ForwardBatch(std::span<const float> inputs, size_t b
     if (batch_post_[l].size() < need) {
       batch_post_[l].resize(need);
     }
-    LayerForwardBatch(layer, /*is_last=*/l + 1 == layers_.size(), x, batch,
+    LayerForwardBatch(fp, layer, /*is_last=*/l + 1 == layers_.size(), x, batch,
                       batch_post_[l].data(), batch_pre_[l].data());
     x = batch_post_[l].data();
   }
@@ -314,6 +319,7 @@ std::span<const float> Mlp::BackwardBatch(std::span<const float> output_grads, s
   ASTRAEA_CHECK(batch_cached_ == batch && batch > 0);
   const size_t out_dim = static_cast<size_t>(dims_.back());
   ASTRAEA_CHECK(output_grads.size() == batch * out_dim);
+  EnsureGrads();
 
   std::vector<float>* delta_buf = &batch_delta_a_;
   std::vector<float>* prev_buf = &batch_delta_b_;
@@ -532,6 +538,7 @@ std::span<const float> Mlp::BackwardBatch(std::span<const float> output_grads, s
 std::vector<float> Mlp::Backward(std::span<const float> output_grad) {
   ASTRAEA_CHECK(!cached_post_.empty());
   ASTRAEA_CHECK(output_grad.size() == cached_post_.back().size());
+  EnsureGrads();
 
   std::vector<float> delta(output_grad.begin(), output_grad.end());
   // Chain through the output activation.
@@ -583,11 +590,12 @@ std::vector<float> Mlp::Backward(std::span<const float> output_grad) {
   return delta;
 }
 
-void Mlp::ZeroGrad() { std::fill(grads_.begin(), grads_.end(), 0.0f); }
+void Mlp::ZeroGrad() { grads_.assign(params_.size(), 0.0f); }
 
 void Mlp::CopyParamsFrom(const Mlp& other) {
   ASTRAEA_CHECK(other.params_.size() == params_.size());
   params_ = other.params_;
+  wt_stale_ = true;
 }
 
 void Mlp::PolyakUpdateFrom(const Mlp& other, float tau) {
@@ -595,6 +603,7 @@ void Mlp::PolyakUpdateFrom(const Mlp& other, float tau) {
   for (size_t i = 0; i < params_.size(); ++i) {
     params_[i] = tau * other.params_[i] + (1.0f - tau) * params_[i];
   }
+  wt_stale_ = true;
 }
 
 void Mlp::Save(BinaryWriter* writer) const {
@@ -647,6 +656,7 @@ Mlp Mlp::Load(BinaryReader* reader) {
     throw SerializationError("MLP checkpoint parameter count mismatch");
   }
   net.params_ = std::move(params);
+  net.wt_stale_ = true;
   return net;
 }
 

@@ -14,8 +14,13 @@
 // per sample. The per-sample Forward()/Backward() pair is retained as the
 // reference implementation that the batched kernels are parity-tested against.
 //
+// Only Mlp members write the parameters (there is no mutable params()), so the
+// transposed weight cache the forward kernels read can never go stale: every
+// writer marks it, and the next forward pass rebuilds it.
+//
 // Thread-safety: one Mlp instance may be used by one thread at a time (even
-// Infer/InferBatch use mutable scratch); use per-thread copies to parallelize.
+// Infer/InferBatch use mutable scratch and may rebuild the weight cache); use
+// per-thread copies to parallelize.
 
 #ifndef SRC_NN_MLP_H_
 #define SRC_NN_MLP_H_
@@ -29,6 +34,8 @@
 #include "src/util/serialization.h"
 
 namespace astraea {
+
+class Adam;
 
 enum class OutputActivation : uint32_t { kIdentity = 0, kTanh = 1 };
 
@@ -75,9 +82,15 @@ class Mlp {
 
   void ZeroGrad();
 
-  std::span<float> params() { return params_; }
   std::span<const float> params() const { return params_; }
-  std::span<float> grads() { return grads_; }
+  // Replaces every parameter; `params` holds parameter_count() values.
+  void SetParams(std::span<const float> params);
+  // One optimizer step from the accumulated gradients (Adam::Step semantics).
+  void AdamStep(Adam* opt, float scale = 1.0f);
+  // The gradient accumulator. The first call to this, ZeroGrad, Backward or
+  // BackwardBatch allocates it as parameter_count() zeros, so inference-only
+  // nets never hold one.
+  std::span<float> grads();
 
   int input_size() const { return dims_.front(); }
   int output_size() const { return dims_.back(); }
@@ -104,19 +117,29 @@ class Mlp {
 
   void BuildLayout();
   void InitParams(Rng* rng);
+  void EnsureGrads();
+  // wt_, rebuilt first if any parameter changed since it was last built.
+  const float* ForwardParams() const;
   void ForwardInto(std::span<const float> input, std::vector<std::vector<float>>* pre,
                    std::vector<std::vector<float>>* post) const;
   // One dense layer over a whole batch: y[r] = W x[r] + b, then the layer's
-  // activation. `pre` (optional) receives the pre-activation values.
-  void LayerForwardBatch(const LayerView& layer, bool is_last, const float* x, size_t batch,
-                         float* y, float* pre) const;
+  // activation, reading W and b from `fp` (= ForwardParams()). `pre`
+  // (optional) receives the pre-activation values.
+  void LayerForwardBatch(const float* fp, const LayerView& layer, bool is_last, const float* x,
+                         size_t batch, float* y, float* pre) const;
   void ApplyOutputActivation(bool is_last, float* y, size_t n) const;
 
   std::vector<int> dims_;
   OutputActivation output_activation_ = OutputActivation::kIdentity;
   std::vector<LayerView> layers_;
   std::vector<float> params_;
-  std::vector<float> grads_;
+  std::vector<float> grads_;  // empty until first use (see grads())
+  // params_ in the forward kernels' layout: each weight matrix transposed to
+  // [in x out], biases as-is, at the same offsets. Built by the first forward
+  // pass after a parameter change (never in Load or the constructor);
+  // `wt_stale_` is set by every member that writes params_.
+  mutable std::vector<float> wt_;
+  mutable bool wt_stale_ = true;
 
   // Caches from the last Forward() (input copy + per-layer pre/post activations).
   std::vector<float> cached_input_;
@@ -135,8 +158,6 @@ class Mlp {
   // InferBatch stay const (they still make the instance single-thread only).
   mutable std::vector<float> infer_scratch_a_;
   mutable std::vector<float> infer_scratch_b_;
-  // Per-layer transposed weights, rebuilt on each batched layer pass.
-  mutable std::vector<float> wt_scratch_;
   // Column-major copy of the current deltas ([out x batch]), rebuilt per layer
   // in BackwardBatch so the parameter-gradient tiles read them unit-stride.
   std::vector<float> dt_scratch_;

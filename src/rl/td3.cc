@@ -177,8 +177,8 @@ Td3Diagnostics Td3Trainer::Update(const ReplaySource& buffer, Rng* rng) {
   const float batch_scale = static_cast<float>(B);
   const double c1_norm = ClipGradNorm(critic1_->grads(), config_.grad_clip_norm, batch_scale);
   const double c2_norm = ClipGradNorm(critic2_->grads(), config_.grad_clip_norm, batch_scale);
-  critic1_opt_->Step(critic1_->params(), critic1_->grads(), batch_scale);
-  critic2_opt_->Step(critic2_->params(), critic2_->grads(), batch_scale);
+  critic1_->AdamStep(critic1_opt_.get(), batch_scale);
+  critic2_->AdamStep(critic2_opt_.get(), batch_scale);
   diag.critic_loss = (loss1_acc + loss2_acc) / static_cast<double>(B);
   diag.critic_grad_norm = 0.5 * (c1_norm + c2_norm);
 
@@ -212,7 +212,7 @@ Td3Diagnostics Td3Trainer::Update(const ReplaySource& buffer, Rng* rng) {
     }
     actor_->BackwardBatch(scratch_.next_action, B, /*need_input_grad=*/false);
     diag.actor_grad_norm = ClipGradNorm(actor_->grads(), config_.grad_clip_norm, batch_scale);
-    actor_opt_->Step(actor_->params(), actor_->grads(), batch_scale);
+    actor_->AdamStep(actor_opt_.get(), batch_scale);
     diag.actor_objective = q_acc / static_cast<double>(B);
 
     target_actor_->PolyakUpdateFrom(*actor_, config_.tau);
@@ -266,8 +266,8 @@ Td3Diagnostics Td3Trainer::UpdateReference(const ReplaySource& buffer, Rng* rng)
   const float batch_scale = static_cast<float>(config_.batch_size);
   const double c1_norm = ClipGradNorm(critic1_->grads(), config_.grad_clip_norm, batch_scale);
   const double c2_norm = ClipGradNorm(critic2_->grads(), config_.grad_clip_norm, batch_scale);
-  critic1_opt_->Step(critic1_->params(), critic1_->grads(), batch_scale);
-  critic2_opt_->Step(critic2_->params(), critic2_->grads(), batch_scale);
+  critic1_->AdamStep(critic1_opt_.get(), batch_scale);
+  critic2_->AdamStep(critic2_opt_.get(), batch_scale);
   diag.critic_loss = loss_acc / config_.batch_size;
   diag.critic_grad_norm = 0.5 * (c1_norm + c2_norm);
 
@@ -299,7 +299,7 @@ Td3Diagnostics Td3Trainer::UpdateReference(const ReplaySource& buffer, Rng* rng)
       actor_->Backward(dq_da);
     }
     diag.actor_grad_norm = ClipGradNorm(actor_->grads(), config_.grad_clip_norm, batch_scale);
-    actor_opt_->Step(actor_->params(), actor_->grads(), batch_scale);
+    actor_->AdamStep(actor_opt_.get(), batch_scale);
     diag.actor_objective = q_acc / config_.batch_size;
 
     target_actor_->PolyakUpdateFrom(*actor_, config_.tau);

@@ -66,7 +66,7 @@ TEST_P(SchemeGridProperty, MakesProgressWithinPhysicalBounds) {
 
 std::vector<GridPoint> MakeGrid() {
   std::vector<GridPoint> grid;
-  for (const std::string& scheme :
+  for (const char* scheme :
        {"newreno", "cubic", "vegas", "bbr", "copa", "vivace", "aurora", "orca", "remy",
         "astraea"}) {
     for (const auto& [bw, rtt] : std::vector<std::pair<double, int>>{
@@ -78,10 +78,10 @@ std::vector<GridPoint> MakeGrid() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, SchemeGridProperty, ::testing::ValuesIn(MakeGrid()),
-                         [](const ::testing::TestParamInfo<GridPoint>& info) {
-                           return info.param.scheme + "_" +
-                                  std::to_string(static_cast<int>(info.param.bw_mbps)) + "M_" +
-                                  std::to_string(info.param.rtt_ms) + "ms";
+                         [](const ::testing::TestParamInfo<GridPoint>& point) {
+                           return point.param.scheme + "_" +
+                                  std::to_string(static_cast<int>(point.param.bw_mbps)) + "M_" +
+                                  std::to_string(point.param.rtt_ms) + "ms";
                          });
 
 // Two homogeneous flows of every scheme: long-run Jain must clear a per-family

@@ -19,7 +19,7 @@ TEST(DumbbellScenarioTest, BufferSizedInBdpMultiples) {
 TEST(DumbbellScenarioTest, SchemeNamesResolve) {
   DumbbellConfig config;
   DumbbellScenario scenario(config);
-  for (const std::string& name :
+  for (const char* name :
        {"newreno", "cubic", "vegas", "bbr", "copa", "vivace", "aurora", "orca", "remy"}) {
     EXPECT_GE(scenario.AddFlow(name, 0), 0) << name;
   }

@@ -1,12 +1,55 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <sstream>
 
 #include "src/nn/mlp.h"
 
 namespace astraea {
 namespace {
+
+// The paper's network shapes (DESIGN.md §1): 40 local features in, 53 for
+// the critic (12 global + 40 local + 1 action), 256/128/64 hidden.
+const std::vector<int> kActorDims = {40, 256, 128, 64, 1};
+const std::vector<int> kCriticDims = {53, 256, 128, 64, 1};
+
+std::vector<float> RandomInputs(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = static_cast<float>(rng.Uniform(-2.0, 2.0));
+  }
+  return v;
+}
+
+// Every parameter, biases included, uniform in [-0.1, 0.1]. A fresh net's
+// biases are zero, and with zero biases adding the bias first or last gives
+// the same bits, so the exactness tests need nonzero ones.
+void RandomizeParams(Mlp* net, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> params(net->parameter_count());
+  for (auto& p : params) {
+    p = static_cast<float>(rng.Uniform(-0.1, 0.1));
+  }
+  net->SetParams(params);
+}
+
+// Bitwise float equality: unlike EXPECT_FLOAT_EQ, no ULP tolerance.
+::testing::AssertionResult SameBits(std::span<const float> a, std::span<const float> b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint32_t>(a[i]) != std::bit_cast<uint32_t>(b[i])) {
+      return ::testing::AssertionFailure() << "index " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 TEST(MlpTest, ShapesAndDeterminism) {
   Rng rng(1);
@@ -27,6 +70,7 @@ TEST(MlpTest, ShapesAndDeterminism) {
 TEST(MlpTest, ForwardMatchesInfer) {
   Rng rng(2);
   Mlp net({3, 16, 1}, OutputActivation::kIdentity, &rng);
+  RandomizeParams(&net, 5);
   const std::vector<float> x = {1.0f, 2.0f, 3.0f};
   EXPECT_EQ(net.Forward(x), net.Infer(x));
 }
@@ -34,6 +78,7 @@ TEST(MlpTest, ForwardMatchesInfer) {
 TEST(MlpTest, InferBatchMatchesPerSample) {
   Rng rng(3);
   Mlp net({5, 32, 16, 2}, OutputActivation::kTanh, &rng);
+  RandomizeParams(&net, 4);
   const size_t batch = 7;
   std::vector<float> inputs(batch * 5);
   Rng data_rng(9);
@@ -45,14 +90,47 @@ TEST(MlpTest, InferBatchMatchesPerSample) {
   for (size_t i = 0; i < batch; ++i) {
     const auto single =
         net.Infer(std::span<const float>(inputs.data() + i * 5, 5));
-    EXPECT_FLOAT_EQ(batched[i * 2 + 0], single[0]);
-    EXPECT_FLOAT_EQ(batched[i * 2 + 1], single[1]);
+    EXPECT_TRUE(SameBits(std::span<const float>(batched).subspan(i * 2, 2), single))
+        << "row " << i;
+  }
+}
+
+// At the paper's widths every tile shape of the forward kernel runs: 4-row x
+// 16-output tiles, one-row 64-output tiles for the leftover rows, and the
+// single-output tiles of the scalar head. Each must reproduce the per-sample
+// reference bit for bit.
+TEST(MlpTest, InferBatchMatchesForwardBitwiseAtPaperWidths) {
+  std::vector<size_t> batches;
+  for (size_t b = 1; b <= 17; ++b) {
+    batches.push_back(b);
+  }
+  batches.push_back(64);
+  batches.push_back(192);
+  for (const auto& [dims, activation] :
+       {std::pair{kActorDims, OutputActivation::kTanh},
+        std::pair{kCriticDims, OutputActivation::kIdentity}}) {
+    Rng rng(41);
+    Mlp net(dims, activation, &rng);
+    RandomizeParams(&net, 43);
+    const size_t in = static_cast<size_t>(dims.front());
+    for (const size_t batch : batches) {
+      const std::vector<float> inputs = RandomInputs(batch * in, 42 + batch);
+      // Copied out of the inference scratch before any further call.
+      const std::span<const float> view = net.InferBatchSpan(inputs, batch);
+      const std::vector<float> batched(view.begin(), view.end());
+      for (size_t r = 0; r < batch; ++r) {
+        const auto single = net.Forward(std::span<const float>(inputs).subspan(r * in, in));
+        EXPECT_TRUE(SameBits(std::span<const float>(batched).subspan(r, 1), single))
+            << "in " << in << " batch " << batch << " row " << r;
+      }
+    }
   }
 }
 
 TEST(MlpTest, ForwardBatchMatchesPerRowInferExactly) {
   Rng rng(31);
   Mlp net({6, 24, 12, 3}, OutputActivation::kTanh, &rng);
+  RandomizeParams(&net, 30);
   const size_t batch = 17;
   std::vector<float> inputs(batch * 6);
   Rng data_rng(32);
@@ -144,16 +222,20 @@ TEST(MlpTest, GradientsMatchFiniteDifferences) {
   const std::vector<float> dx = net.Backward(dy);
 
   const float eps = 1e-3f;
-  // Check a spread of parameter gradients.
-  auto params = net.params();
-  auto grads = net.grads();
+  // Check a spread of parameter gradients. Each probe goes through
+  // SetParams, the only way to write parameters from outside the net.
+  std::vector<float> params(net.params().begin(), net.params().end());
+  const std::vector<float> grads(net.grads().begin(), net.grads().end());
   for (size_t i = 0; i < params.size(); i += std::max<size_t>(params.size() / 17, 1)) {
     const float original = params[i];
     params[i] = original + eps;
+    net.SetParams(params);
     const float up = net.Infer(x)[0];
     params[i] = original - eps;
+    net.SetParams(params);
     const float down = net.Infer(x)[0];
     params[i] = original;
+    net.SetParams(params);
     const float fd = (up - down) / (2 * eps);
     EXPECT_NEAR(grads[i], fd, 5e-3) << "param index " << i;
   }
@@ -203,7 +285,7 @@ TEST(MlpTest, GradientDescentFitsXor) {
       const float dy[1] = {2.0f * (y - targets[i])};
       net.Backward(dy);
     }
-    opt.Step(net.params(), net.grads(), 4.0f);
+    net.AdamStep(&opt, 4.0f);
   }
   for (int i = 0; i < 4; ++i) {
     const float y = net.Infer(std::span<const float>(inputs[i], 2))[0];
@@ -219,6 +301,74 @@ TEST(MlpTest, PolyakBlendsParameters) {
   const float b0 = b.params()[0];
   b.PolyakUpdateFrom(a, 0.25f);
   EXPECT_FLOAT_EQ(b.params()[0], 0.25f * a0 + 0.75f * b0);
+}
+
+// The forward kernels read a transposed copy of the weights. After every way
+// parameters can change, the next Infer must equal that of a net that never
+// ran a forward pass and holds the same parameters — and must differ from the
+// answer before the change, so the check cannot pass vacuously.
+void ExpectInferFreshAfter(const char* what, const std::function<void(Mlp*)>& change) {
+  SCOPED_TRACE(what);
+  Rng rng(51);
+  Mlp net(kActorDims, OutputActivation::kTanh, &rng);
+  const std::vector<float> x = RandomInputs(2 * 40, 52);
+  const std::vector<float> before = net.InferBatch(x, 2);  // builds the cache
+  change(&net);
+  Rng fresh_rng(53);
+  Mlp fresh(kActorDims, OutputActivation::kTanh, &fresh_rng);
+  fresh.SetParams(net.params());
+  const std::vector<float> after = net.InferBatch(x, 2);
+  EXPECT_TRUE(SameBits(after, fresh.InferBatch(x, 2)));
+  EXPECT_FALSE(SameBits(after, before));
+  EXPECT_TRUE(SameBits(net.Infer(std::span<const float>(x).first(40)),
+                       std::span<const float>(after).first(1)));
+}
+
+TEST(MlpTest, WeightCacheFollowsEveryParameterChange) {
+  Rng other_rng(54);
+  const Mlp other(kActorDims, OutputActivation::kTanh, &other_rng);
+  ExpectInferFreshAfter("SetParams", [&](Mlp* net) { net->SetParams(other.params()); });
+  ExpectInferFreshAfter("CopyParamsFrom", [&](Mlp* net) { net->CopyParamsFrom(other); });
+  ExpectInferFreshAfter("PolyakUpdateFrom",
+                        [&](Mlp* net) { net->PolyakUpdateFrom(other, 0.5f); });
+  ExpectInferFreshAfter("AdamStep", [&](Mlp* net) {
+    Adam opt(net->parameter_count(), 0.01f);
+    net->ZeroGrad();
+    const std::vector<float> x = RandomInputs(4 * 40, 55);
+    net->ForwardBatch(x, 4);
+    const std::vector<float> dy = {1.0f, -1.0f, 0.5f, -0.5f};
+    net->BackwardBatch(dy, 4, /*need_input_grad=*/false);
+    net->AdamStep(&opt);
+  });
+  ExpectInferFreshAfter("Load", [&](Mlp* net) {
+    std::stringstream stream;
+    BinaryWriter writer(&stream);
+    other.Save(&writer);
+    BinaryReader reader(&stream);
+    *net = Mlp::Load(&reader);
+  });
+  ExpectInferFreshAfter("copy construction", [&](Mlp* net) {
+    Mlp warm(other);
+    warm.Infer(std::vector<float>(40, 0.5f));  // a copy made with a built cache
+    Mlp copy(warm);
+    *net = copy;
+  });
+  ExpectInferFreshAfter("copy of a stale net", [&](Mlp* net) {
+    Mlp changed(*net);
+    changed.CopyParamsFrom(other);  // stale, never run since the change
+    *net = Mlp(changed);
+  });
+}
+
+TEST(MlpTest, GradsOfUntrainedNetAreZeros) {
+  Rng rng(56);
+  Mlp net(kActorDims, OutputActivation::kTanh, &rng);
+  net.Infer(std::vector<float>(40, 0.25f));
+  const auto grads = net.grads();
+  ASSERT_EQ(grads.size(), net.parameter_count());
+  for (const float g : grads) {
+    EXPECT_EQ(g, 0.0f);
+  }
 }
 
 TEST(MlpTest, SaveLoadRoundTrip) {

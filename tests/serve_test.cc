@@ -211,7 +211,7 @@ TEST(ServeTest, ManyConcurrentClientsAllServedCorrectly) {
       }
       // Mlp::Infer uses mutable scratch (single-thread only): each thread
       // rebuilds its own reference model from the shared seed.
-      const Mlp model = MakeModel(13);
+      const Mlp reference = MakeModel(13);
       Rng rng(100 + static_cast<uint64_t>(c));
       for (int i = 0; i < kRequests; ++i) {
         const std::vector<float> state = RandomState(&rng);
@@ -220,7 +220,7 @@ TEST(ServeTest, ManyConcurrentClientsAllServedCorrectly) {
           failures.fetch_add(1);
           continue;
         }
-        if (std::abs(*served - static_cast<double>(model.Infer(state)[0])) > 1e-6) {
+        if (std::abs(*served - static_cast<double>(reference.Infer(state)[0])) > 1e-6) {
           mismatches.fetch_add(1);
         }
       }

@@ -1,6 +1,6 @@
 // run_scenario: quick CLI to exercise any scheme combination on a dumbbell.
 //
-//   run_scenario --scheme astraea --flows 3 --bw 100 --rtt 30 --buffer 1 \
+//   run_scenario --scheme astraea --flows 3 --bw 100 --rtt 30 --buffer 1
 //                --interval 40 --duration 120 --until 200 [--timeline]
 //                [--qdisc droptail|red|codel] [--trace file.mahimahi]
 //                [--trace-out run.trace] [--trace-format binary|jsonl]
