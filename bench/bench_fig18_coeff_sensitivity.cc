@@ -12,7 +12,7 @@
 #include <cstdlib>
 
 #include "bench/harness/table.h"
-#include "src/core/learner.h"
+#include "src/train/vectorized_trainer.h"
 
 namespace astraea {
 namespace {
@@ -26,18 +26,19 @@ int Main(int argc, char** argv) {
 
   ConsoleTable table({"c3", "episodes", "eval Jain (trained)", "mean R_fair during training"});
   for (double c3 : {0.05, 0.15, 0.25, 0.35}) {
-    LearnerConfig config;
+    VectorizedTrainerConfig config;
     config.hp.reward.c3 = c3;
     config.episode_length = Seconds(12.0);
+    config.num_envs = 1;
     config.seed = 42;
-    Learner learner(config);
+    VectorizedTrainer trainer(config);
     double r_fair_acc = 0.0;
     int n = 0;
-    learner.Train(episodes, [&](const EpisodeDiagnostics& d) {
+    trainer.Train(episodes, [&](const EpisodeDiagnostics& d) {
       r_fair_acc += d.env.mean_r_fair;
       ++n;
     });
-    const double jain = learner.EvaluateFairness();
+    const double jain = trainer.EvaluateFairness();
     table.AddRow({ConsoleTable::Num(c3, 2), std::to_string(episodes),
                   ConsoleTable::Num(jain, 3), ConsoleTable::Num(r_fair_acc / n, 4)});
   }

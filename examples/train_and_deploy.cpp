@@ -1,37 +1,37 @@
 // Train-and-deploy walkthrough: the full Astraea lifecycle against the public
-// API — train a (tiny-budget) policy with the multi-agent learner, checkpoint
+// API — train a (tiny-budget) policy with the multi-agent trainer, checkpoint
 // it, load it back as a deployable MlpPolicy, and race it on an emulated link.
 //
-// The two-episode budget keeps the example fast. A policy this young can
-// already hold an easy two-flow link (slow start hands over near saturation),
-// but it has not generalized — compare against the distilled reference on the
-// harder scorecard with tools/astraea_eval. Use tools/astraea_train for real
+// The two-episode budget keeps the example fast. A policy this young is far
+// from converged — it may leave most of an easy two-flow link idle — so the
+// race prints it next to the distilled reference; score checkpoints on the
+// full scorecard with tools/astraea_eval. Use tools/astraea_train for real
 // training runs.
 
 #include <cstdio>
 
 #include "bench/harness/metrics.h"
 #include "bench/harness/scenario.h"
-#include "src/core/learner.h"
+#include "src/train/vectorized_trainer.h"
 
 int main() {
   using namespace astraea;
 
   // 1. Train: two 8-second episodes sampled from the paper's Table-3 ranges.
-  LearnerConfig config;
+  VectorizedTrainerConfig config;
   config.episode_length = Seconds(8.0);
-  config.env_instances = 2;  // Appendix A: parallel environment instances
+  config.num_envs = 2;  // Appendix A: parallel environment instances
   config.seed = 3;
-  Learner learner(config);
+  VectorizedTrainer trainer(config);
   std::printf("training (2 episodes x 8s, 2 env instances)...\n");
-  learner.Train(2, [](const EpisodeDiagnostics& d) {
+  trainer.Train(2, [](const EpisodeDiagnostics& d) {
     std::printf("  episode %d: mean reward %+.4f, R_fair %.4f, critic loss %.5f\n", d.episode,
                 d.env.mean_reward, d.env.mean_r_fair, d.td3.critic_loss);
   });
 
   // 2. Checkpoint and reload as a deployable policy.
   const std::string ckpt = "/tmp/astraea_example_policy.ckpt";
-  learner.SaveCheckpoint(ckpt);
+  trainer.SaveCheckpoint(ckpt);
   const auto trained = LoadDefaultPolicy(ckpt);
   std::printf("checkpoint saved and reloaded: %s\n\n", trained->name().c_str());
 

@@ -32,30 +32,9 @@ EnvEpisodeConfig SampleEpisode(const TrainingEnvRanges& ranges, Rng* rng) {
 }
 
 MultiFlowEnv::MultiFlowEnv(EnvEpisodeConfig config, const AstraeaHyperparameters& hp,
-                           Td3Trainer* trainer, TransitionSink* buffer, double noise_std,
-                           Rng* rng)
-    : config_(std::move(config)),
-      hp_(hp),
-      buffer_(buffer),
-      noise_std_(noise_std),
-      own_rng_(rng->Fork()),
-      rng_(&own_rng_) {
-  Build(std::make_shared<TrainerActorPolicy>(trainer));
-}
-
-MultiFlowEnv::MultiFlowEnv(EnvEpisodeConfig config, const AstraeaHyperparameters& hp,
-                           std::shared_ptr<const Policy> policy, TransitionSink* buffer,
+                           std::shared_ptr<const Policy> policy, std::vector<Transition>* out,
                            double noise_std, Rng* rng)
-    : config_(std::move(config)),
-      hp_(hp),
-      buffer_(buffer),
-      noise_std_(noise_std),
-      own_rng_(0),  // unused; noise comes from the caller's persistent stream
-      rng_(rng) {
-  Build(std::move(policy));
-}
-
-void MultiFlowEnv::Build(std::shared_ptr<const Policy> policy) {
+    : config_(std::move(config)), hp_(hp), out_(out), noise_std_(noise_std), rng_(rng) {
   ASTRAEA_CHECK(!config_.flows.empty());
   next_update_ = hp_.model_update_interval;
   network_ = std::make_unique<Network>(config_.seed);
@@ -154,7 +133,7 @@ double MultiFlowEnv::OnDecision(int flow_id, const StateView& view, double propo
     t.next_global_state = global_state;
     t.next_local_state = local_state;
     t.terminal = false;
-    buffer_->Add(std::move(t));
+    out_->push_back(std::move(t));
 
     stats_.mean_reward += reward.total;
     stats_.mean_r_fair += reward.r_fair;
@@ -195,11 +174,8 @@ EpisodeStats MultiFlowEnv::Finish() {
   return stats_;
 }
 
-EpisodeStats MultiFlowEnv::Run(const std::function<void()>& on_update) {
+EpisodeStats MultiFlowEnv::Run() {
   while (AdvanceOneInterval()) {
-    if (on_update) {
-      on_update();
-    }
   }
   return Finish();
 }

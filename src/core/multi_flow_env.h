@@ -5,17 +5,16 @@
 // through this environment: the proposed action gets exploration noise, the
 // Observer assembles the Table-2 global state from every active flow's latest
 // MTP report, the reward block scores the elapsed interval for the whole
-// link, and the (g, s, a, r, g', s') transition is pushed into the shared
-// replay buffer. Policy parameters stay in the Td3Trainer — all agents share
-// them (centralized training, decentralized execution).
+// link, and the (g, s, a, r, g', s') transition is staged for the shared
+// replay buffer. Every flow acts through the same policy (centralized
+// training, decentralized execution).
 //
-// Two driving modes:
-//  * Run(on_update) — the serial Learner's loop: advance one model-update
-//    interval, perform gradient steps, repeat.
-//  * AdvanceOneInterval()/Finish() — the vectorized trainer's segment API:
-//    N environments advance one interval each on the thread pool, a barrier
-//    drains their staged transitions in deterministic order, the learner
-//    updates, and the next round begins with fresh actor snapshots.
+// The vectorized trainer (src/train) drives it one segment at a time:
+// N environments advance one model-update interval each
+// (AdvanceOneInterval) on the thread pool, a barrier drains their staged
+// transitions in deterministic order, the learner updates, and the next
+// round begins with fresh actor snapshots. Run() plays a whole episode
+// without pausing, for evaluation.
 
 #ifndef SRC_CORE_MULTI_FLOW_ENV_H_
 #define SRC_CORE_MULTI_FLOW_ENV_H_
@@ -26,8 +25,8 @@
 #include "src/core/astraea_controller.h"
 #include "src/core/reward.h"
 #include "src/core/training_config.h"
+#include "src/nn/mlp.h"
 #include "src/rl/replay_buffer.h"
-#include "src/rl/td3.h"
 #include "src/sim/network.h"
 #include "src/sim/queue_disc.h"
 #include "src/sim/rate_provider.h"
@@ -74,24 +73,15 @@ struct EpisodeStats {
 
 class MultiFlowEnv {
  public:
-  // Serial-learner mode: `trainer` provides the shared actor; `buffer`
-  // receives transitions; a private noise stream is forked from `rng`.
-  // `noise_std` is the exploration noise added to each proposed action.
-  MultiFlowEnv(EnvEpisodeConfig config, const AstraeaHyperparameters& hp, Td3Trainer* trainer,
-               TransitionSink* buffer, double noise_std, Rng* rng);
-
-  // Vectorized-actor mode: decisions come from `policy` (typically an
-  // adapter over a per-actor snapshot of the shared network) and exploration
-  // noise is drawn directly from `rng` — NOT forked — so the caller's
+  // Decisions come from `policy` (typically an adapter over a per-actor
+  // snapshot of the shared network); completed transitions are appended to
+  // `out`. `noise_std` is the exploration noise added to each proposed
+  // action, drawn directly from `rng` — NOT forked — so the caller's
   // per-actor stream persists across episodes and can be checkpointed.
-  // `rng` must outlive the environment.
+  // `out` and `rng` must outlive the environment.
   MultiFlowEnv(EnvEpisodeConfig config, const AstraeaHyperparameters& hp,
-               std::shared_ptr<const Policy> policy, TransitionSink* buffer, double noise_std,
-               Rng* rng);
-
-  // Runs the episode; `on_update` fires every hp.model_update_interval of
-  // environment time (the Learner performs its 20 gradient steps there).
-  EpisodeStats Run(const std::function<void()>& on_update);
+               std::shared_ptr<const Policy> policy, std::vector<Transition>* out,
+               double noise_std, Rng* rng);
 
   // Segment API: advances the simulation by one model-update interval and
   // returns true, or returns false once the episode horizon is reached.
@@ -99,8 +89,10 @@ class MultiFlowEnv {
   bool done() const { return next_update_ > config_.episode_length; }
   // Runs any residual tail past the last whole interval and returns the
   // episode means. Call exactly once, after AdvanceOneInterval() returns
-  // false. Run() == while (AdvanceOneInterval()) on_update(); Finish();
+  // false.
   EpisodeStats Finish();
+  // The whole episode: while (AdvanceOneInterval()) {} return Finish();
+  EpisodeStats Run();
 
   Network& network() { return *network_; }
   const EnvEpisodeConfig& config() const { return config_; }
@@ -113,17 +105,15 @@ class MultiFlowEnv {
     float action = 0.0f;
   };
 
-  void Build(std::shared_ptr<const Policy> policy);
   double OnDecision(int flow_id, const StateView& view, double proposed);
   std::vector<float> ObserveGlobalState() const;
   RewardBreakdown ComputeGlobalReward() const;
 
   EnvEpisodeConfig config_;
   AstraeaHyperparameters hp_;
-  TransitionSink* buffer_;
+  std::vector<Transition>* out_;
   double noise_std_;
-  Rng own_rng_;   // forked stream backing `rng_` in serial-learner mode
-  Rng* rng_;      // the stream exploration noise is drawn from
+  Rng* rng_;  // the stream exploration noise is drawn from
 
   std::unique_ptr<Network> network_;
   std::vector<AstraeaController*> controllers_;  // index = flow id
@@ -132,19 +122,6 @@ class MultiFlowEnv {
   EpisodeStats stats_;
   TimeNs next_update_ = 0;
   bool finished_ = false;
-};
-
-// Policy adapter exposing the trainer's current actor to AstraeaController.
-class TrainerActorPolicy : public Policy {
- public:
-  explicit TrainerActorPolicy(const Td3Trainer* trainer) : trainer_(trainer) {}
-  double Act(const StateView& view) const override {
-    return trainer_->Act(view.state_vector)[0];
-  }
-  std::string name() const override { return "astraea-train"; }
-
- private:
-  const Td3Trainer* trainer_;
 };
 
 // Policy adapter over a caller-owned actor snapshot (vectorized training:

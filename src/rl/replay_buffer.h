@@ -27,20 +27,10 @@ struct Transition {
   bool terminal = false;
 };
 
-// Write side of experience collection. Environments push transitions through
-// this so the same MultiFlowEnv can feed the serial ReplayBuffer directly or
-// a per-actor staging vector that the vectorized trainer later interleaves
-// into its sharded buffer in a deterministic order.
-class TransitionSink {
- public:
-  virtual ~TransitionSink() = default;
-  virtual void Add(Transition t) = 0;
-};
-
-// Read/sampling side consumed by Td3Trainer::Update. Implemented by the
-// serial ReplayBuffer and by the vectorized trainer's ShardedReplayBuffer;
-// both sample uniformly with replacement using the caller's Rng, so the
-// learner's random stream is identical whichever backing store is in use.
+// Read/sampling side consumed by Td3Trainer::Update. Implemented by
+// ReplayBuffer and by the vectorized trainer's ShardedReplayBuffer; both
+// sample uniformly with replacement using the caller's Rng, so the learner's
+// random stream is identical whichever backing store is in use.
 class ReplaySource {
  public:
   virtual ~ReplaySource() = default;
@@ -50,24 +40,15 @@ class ReplaySource {
   virtual std::vector<size_t> SampleIndices(size_t n, Rng* rng) const = 0;
 };
 
-// Appends into a caller-owned vector; the vectorized trainer's per-actor
-// staging area between the parallel advance and the interleaved drain.
-class VectorSink : public TransitionSink {
- public:
-  explicit VectorSink(std::vector<Transition>* out) : out_(out) {}
-  void Add(Transition t) override { out_->push_back(std::move(t)); }
-
- private:
-  std::vector<Transition>* out_;
-};
-
-class ReplayBuffer : public TransitionSink, public ReplaySource {
+// One fixed-capacity ring that overwrites its oldest entry once full: a
+// ShardedReplayBuffer shard, or the Aurora trainer's whole buffer.
+class ReplayBuffer : public ReplaySource {
  public:
   explicit ReplayBuffer(size_t capacity) : capacity_(capacity) {
     ASTRAEA_CHECK(capacity_ > 0);
   }
 
-  void Add(Transition t) override {
+  void Add(Transition t) {
     if (entries_.size() < capacity_) {
       entries_.push_back(std::move(t));
     } else {

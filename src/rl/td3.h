@@ -1,4 +1,5 @@
-// TD3-style actor–critic trainer, the learning core of Astraea's Learner.
+// TD3-style actor–critic trainer, the learning core of Astraea's
+// VectorizedTrainer (src/train/vectorized_trainer.h).
 //
 // This implements Algorithm 1 of the paper plus the Appendix-A optimizations
 // borrowed from TD3 (Fujimoto et al.): target networks with Polyak averaging,
@@ -81,8 +82,8 @@ class Td3Trainer {
 
   // Full training state — actor, both critics, all three target networks,
   // all three Adam optimizers and the update counter — for crash-safe
-  // resume. Streams (not files) so the Learner can embed this in its own
-  // checkpoint payload. LoadState validates network shapes against this
+  // resume. Streams (not files) so VectorizedTrainer can embed this in its
+  // own checkpoint payload. LoadState validates network shapes against this
   // instance and throws SerializationError on any mismatch.
   void SaveState(BinaryWriter* writer) const;
   void LoadState(BinaryReader* reader);

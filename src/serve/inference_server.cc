@@ -24,7 +24,7 @@ namespace serve {
 
 Mlp LoadActorFile(const std::string& path) {
   // Sniff the trailing footer magic to decide between the durable checkpoint
-  // container (Learner::SaveState-style) and the raw actor stream that
+  // container (src/util/checkpoint.h) and the raw actor stream that
   // astraea_train --out writes.
   bool container = false;
   {

@@ -23,8 +23,8 @@ DomainSampler::Draw DomainSampler::SampleDraw(Rng* rng) const {
   config.episode_length = ranges_.episode_length;
 
   // When no extension family is enabled (TableThree), consume no extra draws
-  // at all — the stream stays byte-identical to the plain SampleEpisode()
-  // path the serial Learner uses, so this refactor re-blesses nothing.
+  // at all — the stream stays byte-identical to a plain SampleEpisode() call,
+  // so Table-3 training samples exactly the paper's episode distribution.
   const bool any_extension = ranges_.loss_probability > 0.0 || ranges_.red_probability > 0.0 ||
                              ranges_.codel_probability > 0.0 || ranges_.trace_probability > 0.0;
   if (!any_extension) {

@@ -43,7 +43,7 @@ struct DomainRanges {
   // generated for). The trainer sets this from its own config.
   TimeNs episode_length = Seconds(30.0);
 
-  // Table 3 only — what the serial Learner trains on today.
+  // Table 3 only — astraea_train's default.
   static DomainRanges TableThree();
   // Full scenario-family coverage (astraea_train --randomize).
   static DomainRanges Extended();

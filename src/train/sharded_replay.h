@@ -40,8 +40,8 @@ class ShardedReplayBuffer : public ReplaySource {
   void DrainInterleaved(std::vector<std::vector<Transition>>* staged);
 
   // ReplaySource: global index i resolves shard-major (shard 0's entries
-  // first). Sampling draws the same count of Rng values as the serial
-  // ReplayBuffer for a same-size buffer.
+  // first). Sampling draws the same count of Rng values as a single
+  // ReplayBuffer of the same size.
   size_t size() const override;
   const Transition& at(size_t i) const override;
   std::vector<size_t> SampleIndices(size_t n, Rng* rng) const override;

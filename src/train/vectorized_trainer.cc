@@ -34,6 +34,10 @@ VectorizedTrainer::Metrics VectorizedTrainer::RegisterMetrics(size_t shards) {
             reg.GetGauge("train.exploration_noise"),
             reg.GetHistogram("train.round_seconds"),
             reg.GetHistogram("train.update_seconds"),
+            reg.GetHistogram("train.episode_reward"),
+            reg.GetHistogram("train.critic_loss"),
+            reg.GetHistogram("train.critic_grad_norm"),
+            reg.GetHistogram("train.actor_grad_norm"),
             {}};
   for (size_t s = 0; s < shards; ++s) {
     m.shard_occupancy.push_back(
@@ -74,7 +78,6 @@ VectorizedTrainer::VectorizedTrainer(VectorizedTrainerConfig config)
     ActorSlot& slot = slots_.back();
     slot.actor = std::make_unique<Mlp>(trainer_->actor());
     slot.policy = std::make_shared<SnapshotActorPolicy>(slot.actor.get());
-    slot.sink = std::make_unique<VectorSink>(&staged_[static_cast<size_t>(i)]);
   }
 }
 
@@ -100,10 +103,11 @@ void VectorizedTrainer::Train(
 
     // Every actor samples its next episode from its own stream and starts a
     // fresh environment acting through its snapshot policy.
-    for (ActorSlot& slot : slots_) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      ActorSlot& slot = slots_[i];
       const EnvEpisodeConfig env_config = sampler_.Sample(&slot.rng);
       slot.env = std::make_unique<MultiFlowEnv>(env_config, config_.hp, slot.policy,
-                                                slot.sink.get(), noise, &slot.rng);
+                                                &staged_[i], noise, &slot.rng);
       ++slot.episodes_started;
     }
 
@@ -126,16 +130,7 @@ void VectorizedTrainer::Train(
       }
       metrics_.rounds.Increment();
       metrics_.env_steps.Increment(slots_.size());
-
-      uint64_t staged_count = 0;
-      for (const auto& q : staged_) {
-        staged_count += q.size();
-      }
-      replay_->DrainInterleaved(&staged_);
-      total_env_steps_ += staged_count;
-      metrics_.actor_steps.Increment(staged_count);
-      metrics_.interleave_stalls.Increment(replay_->interleave_stalls() - counted_stalls_);
-      counted_stalls_ = replay_->interleave_stalls();
+      DrainStaged();
       metrics_.round_seconds.Observe(SecondsSince(round_start));
 
       const auto update_start = std::chrono::steady_clock::now();
@@ -167,19 +162,19 @@ void VectorizedTrainer::Train(
     total.mean_r_lat *= inv;
     total.mean_r_loss *= inv;
     total.mean_r_stab *= inv;
-    uint64_t tail = 0;
-    for (const auto& q : staged_) {
-      tail += q.size();
-    }
-    replay_->DrainInterleaved(&staged_);
-    total_env_steps_ += tail;
-    metrics_.actor_steps.Increment(tail);
+    DrainStaged();
 
     ++episodes_done_;
     metrics_.episodes.Increment();
     metrics_.replay_size.Set(static_cast<double>(replay_->size()));
     for (size_t s = 0; s < replay_->shard_count(); ++s) {
       metrics_.shard_occupancy[s]->Set(static_cast<double>(replay_->shard_size(s)));
+    }
+    metrics_.episode_reward.Observe(total.mean_reward);
+    metrics_.critic_loss.Observe(last_td3.critic_loss);
+    metrics_.critic_grad_norm.Observe(last_td3.critic_grad_norm);
+    if (last_td3.actor_grad_norm > 0.0) {
+      metrics_.actor_grad_norm.Observe(last_td3.actor_grad_norm);
     }
 
     EpisodeDiagnostics diag;
@@ -195,6 +190,18 @@ void VectorizedTrainer::Train(
       on_episode(diag);
     }
   }
+}
+
+void VectorizedTrainer::DrainStaged() {
+  uint64_t staged = 0;
+  for (const auto& q : staged_) {
+    staged += q.size();
+  }
+  replay_->DrainInterleaved(&staged_);
+  total_env_steps_ += staged;
+  metrics_.actor_steps.Increment(staged);
+  metrics_.interleave_stalls.Increment(replay_->interleave_stalls() - counted_stalls_);
+  counted_stalls_ = replay_->interleave_stalls();
 }
 
 double VectorizedTrainer::EvaluateFairness() {
@@ -216,9 +223,8 @@ double VectorizedTrainer::EvaluateFairness() {
   auto policy = std::make_shared<SnapshotActorPolicy>(&eval_actor);
   Rng eval_rng(Rng::DeriveSeed(kTrainEvalSeedStream, static_cast<uint64_t>(episodes_done_)));
   std::vector<Transition> scratch;
-  VectorSink sink(&scratch);
-  MultiFlowEnv env(config, config_.hp, policy, &sink, /*noise_std=*/0.0, &eval_rng);
-  env.Run({});
+  MultiFlowEnv env(config, config_.hp, policy, &scratch, /*noise_std=*/0.0, &eval_rng);
+  env.Run();
 
   std::vector<double> rates;
   const Network& net = env.network();

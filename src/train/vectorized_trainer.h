@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/learner.h"
 #include "src/core/multi_flow_env.h"
+#include "src/rl/td3.h"
 #include "src/train/domain_sampler.h"
 #include "src/train/sharded_replay.h"
 #include "src/util/metrics.h"
@@ -54,6 +54,15 @@ struct VectorizedTrainerConfig {
   int exploration_decay_episodes = 0;  // 0: horizon of the first Train() call
 };
 
+struct EpisodeDiagnostics {
+  int episode = 0;
+  EpisodeStats env;
+  Td3Diagnostics td3;
+  double eval_jain = -1.0;  // filled when an eval ran this episode
+  size_t replay_size = 0;   // replay-buffer occupancy after the episode
+  double exploration_noise = 0.0;  // noise std used this episode
+};
+
 class VectorizedTrainer {
  public:
   explicit VectorizedTrainer(VectorizedTrainerConfig config);
@@ -63,10 +72,10 @@ class VectorizedTrainer {
   // across actors.
   void Train(int episodes, const std::function<void(const EpisodeDiagnostics&)>& on_episode);
 
-  // Deterministic 3-flow fairness evaluation (same scenario as
-  // Learner::EvaluateFairness) on a stream derived from the episode index —
-  // running it never perturbs training streams, so diagnostics cadence
-  // cannot change training results.
+  // Deterministic evaluation: 3 staggered flows on a 100 Mbps / 40 ms link,
+  // scored by the average Jain index over the competition window. Runs on a
+  // stream derived from the episode index — running it never perturbs
+  // training streams, so diagnostics cadence cannot change training results.
   double EvaluateFairness();
 
   Td3Trainer& trainer() { return *trainer_; }
@@ -93,21 +102,24 @@ class VectorizedTrainer {
     uint64_t episodes_started = 0;  // the actor's episode cursor
     std::unique_ptr<Mlp> actor;   // per-round snapshot of the shared actor
     std::shared_ptr<const Policy> policy;  // SnapshotActorPolicy over `actor`
-    std::unique_ptr<VectorSink> sink;      // stages into staged_[i]
     std::unique_ptr<MultiFlowEnv> env;     // live within a super-episode
     explicit ActorSlot(uint64_t seed) : rng(seed) {}
   };
 
+  // Deals every actor's staged transitions into the replay buffer and counts
+  // them and the interleave stalls they caused; after a round and after the
+  // episode-end tail alike.
+  void DrainStaged();
   void SerializeState(BinaryWriter* writer) const;
   double NoiseForEpisode(int global_episode) const;
 
   VectorizedTrainerConfig config_;
   DomainSampler sampler_;
-  Rng learner_rng_;  // weight init + TD3 batch sampling, like the serial Learner
+  Rng learner_rng_;  // weight init + TD3 batch sampling
   std::unique_ptr<Td3Trainer> trainer_;
   std::unique_ptr<ShardedReplayBuffer> replay_;
   std::vector<ActorSlot> slots_;
-  std::vector<std::vector<Transition>> staged_;  // index = actor
+  std::vector<std::vector<Transition>> staged_;  // index = actor; its env appends here
   int episodes_done_ = 0;
   int decay_horizon_ = 0;
   uint64_t total_env_steps_ = 0;  // lifetime transitions collected
@@ -125,6 +137,12 @@ class VectorizedTrainer {
     Gauge& exploration_noise;
     Histogram& round_seconds;
     Histogram& update_seconds;
+    // One sample per episode; actor_grad_norm only when the last update
+    // stepped the actor (TD3 delays actor updates).
+    Histogram& episode_reward;
+    Histogram& critic_loss;
+    Histogram& critic_grad_norm;
+    Histogram& actor_grad_norm;
     std::vector<Gauge*> shard_occupancy;
   };
   static Metrics RegisterMetrics(size_t shards);

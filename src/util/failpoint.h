@@ -9,7 +9,7 @@
 // Configuration, either:
 //   - environment: ASTRAEA_FAILPOINTS="ckpt.commit.before_rename=1" (parsed
 //     once, at the first site evaluation), or
-//   - programmatic: failpoint::Configure("learner.episode=4") — replaces the
+//   - programmatic: failpoint::Configure("train.episode=4") — replaces the
 //     whole registry; the tool for test children after fork().
 //
 // Spec grammar:  site=N[:action] [, site=N[:action]]...
@@ -28,7 +28,7 @@
 //   ckpt.commit.before_fsync   payload fully written, not yet durable
 //   ckpt.commit.before_rename  tmp durable, final path still the old file
 //   ckpt.commit.before_dirsync renamed, directory entry not yet fsynced
-//   learner.episode            top of each Learner::Train episode
+//   train.episode              top of each VectorizedTrainer::Train episode
 //   inference.flush            entry of InferenceService::Flush
 //   serve.flush.mid_batch      astraea_serve: requests drained from client
 //                              rings, no response written yet (worst case)

@@ -47,9 +47,13 @@ class Rng {
     return d(engine_);
   }
 
+  // Scales a standard-normal draw the way libstdc++'s normal_distribution
+  // does, so draws are bit-identical to normal_distribution(mean, stddev)
+  // and stddev == 0 (noise-free evaluation) is legal: it returns `mean` and
+  // still advances the engine exactly as a nonzero stddev would.
   double Normal(double mean = 0.0, double stddev = 1.0) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
+    std::normal_distribution<double> standard;
+    return standard(engine_) * stddev + mean;
   }
 
   // Exponential inter-arrival sample with the given mean (for Poisson flows).

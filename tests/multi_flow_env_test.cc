@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "src/core/learner.h"
+#include <memory>
+#include <vector>
+
 #include "src/core/multi_flow_env.h"
+#include "src/rl/td3.h"
+#include "src/train/vectorized_trainer.h"
 
 namespace astraea {
 namespace {
@@ -39,7 +43,7 @@ TEST(MultiFlowEnvTest, CollectsTransitionsWithCorrectShapes) {
   AstraeaHyperparameters hp;
   Rng rng(2);
   Td3Trainer trainer(EnvTd3Config(hp), &rng);
-  ReplayBuffer buffer(10'000);
+  std::vector<Transition> buffer;
 
   EnvEpisodeConfig config;
   config.bandwidth = Mbps(60);
@@ -50,15 +54,19 @@ TEST(MultiFlowEnvTest, CollectsTransitionsWithCorrectShapes) {
   config.flows.push_back({0, -1, 0});
   config.flows.push_back({Seconds(2.0), -1, 0});
 
-  MultiFlowEnv env(config, hp, &trainer, &buffer, 0.1, &rng);
-  int update_calls = 0;
-  const EpisodeStats stats = env.Run([&update_calls] { ++update_calls; });
+  MultiFlowEnv env(config, hp, std::make_shared<SnapshotActorPolicy>(&trainer.actor()), &buffer,
+                   0.1, &rng);
+  int intervals = 0;
+  while (env.AdvanceOneInterval()) {
+    ++intervals;
+  }
+  const EpisodeStats stats = env.Finish();
 
-  EXPECT_EQ(update_calls, 2);  // 10s / 5s interval
+  EXPECT_EQ(intervals, 2);  // 10s / 5s interval
   EXPECT_GT(stats.decisions, 50);
   ASSERT_GT(buffer.size(), 50u);
 
-  const Transition& t = buffer.at(0);
+  const Transition& t = buffer[0];
   EXPECT_EQ(t.local_state.size(), static_cast<size_t>(LocalStateDim(hp)));
   EXPECT_EQ(t.global_state.size(), static_cast<size_t>(kGlobalFeatures));
   EXPECT_EQ(t.action.size(), 1u);
@@ -74,7 +82,7 @@ TEST(MultiFlowEnvTest, RewardReflectsLinkUtilization) {
   AstraeaHyperparameters hp;
   Rng rng(4);
   Td3Trainer trainer(EnvTd3Config(hp), &rng);
-  ReplayBuffer buffer(10'000);
+  std::vector<Transition> buffer;
 
   EnvEpisodeConfig config;
   config.bandwidth = Mbps(80);
@@ -86,38 +94,40 @@ TEST(MultiFlowEnvTest, RewardReflectsLinkUtilization) {
 
   // Freeze exploration so the distilled-free actor still produces actions in
   // range; utilization comes from slow start + random actor behaviour.
-  MultiFlowEnv env(config, hp, &trainer, &buffer, 0.0, &rng);
-  const EpisodeStats stats = env.Run({});
+  MultiFlowEnv env(config, hp, std::make_shared<SnapshotActorPolicy>(&trainer.actor()), &buffer,
+                   0.0, &rng);
+  const EpisodeStats stats = env.Run();
   EXPECT_GT(stats.mean_r_thr, 0.2);
 }
 
-TEST(LearnerTest, MultipleEnvInstancesFillBufferFaster) {
+TEST(TrainerEnvTest, MultipleEnvInstancesFillBufferFaster) {
   auto buffer_fill = [](int instances) {
-    LearnerConfig config;
+    VectorizedTrainerConfig config;
     config.episode_length = Seconds(6.0);
-    config.env_instances = instances;
+    config.num_envs = instances;
     config.seed = 9;
-    Learner learner(config);
-    learner.Train(1, {});
-    return learner.buffer().size();
+    VectorizedTrainer trainer(config);
+    trainer.Train(1, {});
+    return trainer.replay().size();
   };
   const size_t one = buffer_fill(1);
   const size_t four = buffer_fill(4);
   EXPECT_GT(four, one * 2);  // ~4x the experience per episode
 }
 
-TEST(LearnerTest, TrainsWithoutCrashingAndFillsBuffer) {
-  LearnerConfig config;
+TEST(TrainerEnvTest, TrainsWithoutCrashingAndFillsBuffer) {
+  VectorizedTrainerConfig config;
   config.episode_length = Seconds(8.0);
+  config.num_envs = 1;
   config.seed = 6;
-  Learner learner(config);
+  VectorizedTrainer trainer(config);
   int episodes_seen = 0;
-  learner.Train(2, [&](const EpisodeDiagnostics& d) {
+  trainer.Train(2, [&](const EpisodeDiagnostics& d) {
     ++episodes_seen;
     EXPECT_EQ(d.episode, episodes_seen);
   });
   EXPECT_EQ(episodes_seen, 2);
-  EXPECT_GT(learner.buffer().size(), 100u);
+  EXPECT_GT(trainer.replay().size(), 100u);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/learner.h"
+#include "src/train/vectorized_trainer.h"
 #include "src/util/checkpoint.h"
 #include "src/util/failpoint.h"
 
@@ -30,13 +30,14 @@ namespace {
 
 // Small but real training setup: short episodes, frequent model updates and
 // a small batch so TD3 gradient steps (and therefore optimizer/target-net
-// state) are exercised from the first episode.
-LearnerConfig TestConfig() {
-  LearnerConfig config;
+// state) are exercised from the first episode. Two actors, so the state also
+// carries a live interleave cursor and more than one actor stream.
+VectorizedTrainerConfig TestConfig() {
+  VectorizedTrainerConfig config;
   config.seed = 21;
   config.episode_length = Seconds(2.0);
   config.replay_capacity = 8192;
-  config.env_instances = 1;
+  config.num_envs = 2;
   config.exploration_decay_episodes = 6;  // the total across both test runs
   config.hp.history_length = 2;           // smaller nets -> smaller checkpoints
   config.hp.batch_size = 16;
@@ -67,11 +68,11 @@ struct EpisodeRecord {
 TEST(TrainResumeTest, SaveLoadRoundTripIsByteIdentical) {
   const std::string p1 = "/tmp/astraea_state_rt1.ckpt";
   const std::string p2 = "/tmp/astraea_state_rt2.ckpt";
-  Learner a(TestConfig());
+  VectorizedTrainer a(TestConfig());
   a.Train(2, {});
   a.SaveState(p1);
 
-  Learner b(TestConfig());
+  VectorizedTrainer b(TestConfig());
   b.LoadState(p1);
   EXPECT_EQ(b.episodes_done(), 2);
   b.SaveState(p2);
@@ -80,21 +81,21 @@ TEST(TrainResumeTest, SaveLoadRoundTripIsByteIdentical) {
 
 TEST(TrainResumeTest, LoadFromCorruptStateThrows) {
   const std::string path = "/tmp/astraea_state_corrupt.ckpt";
-  Learner a(TestConfig());
+  VectorizedTrainer a(TestConfig());
   a.SaveState(path);
   std::string bytes = ReadFileBytes(path);
   bytes.resize(bytes.size() / 2);
   WriteFileBytes(path, bytes);
-  Learner b(TestConfig());
+  VectorizedTrainer b(TestConfig());
   EXPECT_THROW(b.LoadState(path), SerializationError);
 }
 
-// Strided fuzz over a full learner-state checkpoint: truncations and bit
-// flips at every stride offset must all throw, never load.
+// Strided fuzz over a full "ASTV" training-state checkpoint: truncations and
+// bit flips at every stride offset must all throw, never load.
 TEST(TrainResumeTest, FuzzedStateCheckpointAlwaysThrows) {
   const std::string path = "/tmp/astraea_state_fuzz.ckpt";
   const std::string mutant = "/tmp/astraea_state_fuzz_mutant.ckpt";
-  Learner a(TestConfig());
+  VectorizedTrainer a(TestConfig());
   a.Train(1, {});
   a.SaveState(path);
   const std::string bytes = ReadFileBytes(path);
@@ -104,14 +105,14 @@ TEST(TrainResumeTest, FuzzedStateCheckpointAlwaysThrows) {
   for (size_t off = 0; off < bytes.size(); off += stride) {
     {
       WriteFileBytes(mutant, bytes.substr(0, off));
-      Learner b(TestConfig());
+      VectorizedTrainer b(TestConfig());
       EXPECT_THROW(b.LoadState(mutant), SerializationError) << "truncated at " << off;
     }
     {
       std::string corrupted = bytes;
       corrupted[off] = static_cast<char>(corrupted[off] ^ 0x40);
       WriteFileBytes(mutant, corrupted);
-      Learner b(TestConfig());
+      VectorizedTrainer b(TestConfig());
       EXPECT_THROW(b.LoadState(mutant), SerializationError) << "bit flip at " << off;
     }
   }
@@ -129,7 +130,7 @@ TEST(TrainResumeTest, KillAndResumeIsBitIdentical) {
   // Uninterrupted reference run: 6 episodes.
   std::vector<EpisodeRecord> straight;
   {
-    Learner a(TestConfig());
+    VectorizedTrainer a(TestConfig());
     a.Train(6, [&](const EpisodeDiagnostics& d) {
       straight.push_back({d.episode, d.env.mean_reward, d.td3.critic_loss, d.td3.updates});
     });
@@ -143,8 +144,8 @@ TEST(TrainResumeTest, KillAndResumeIsBitIdentical) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    failpoint::Configure("learner.episode=4");
-    Learner b(TestConfig());
+    failpoint::Configure("train.episode=4");
+    VectorizedTrainer b(TestConfig());
     b.Train(6, [&](const EpisodeDiagnostics& d) {
       b.SaveState(ck_prefix + std::to_string(d.episode));
     });
@@ -159,7 +160,7 @@ TEST(TrainResumeTest, KillAndResumeIsBitIdentical) {
   // the remaining 3 episodes, compare everything.
   std::vector<EpisodeRecord> resumed;
   {
-    Learner c(TestConfig());
+    VectorizedTrainer c(TestConfig());
     c.LoadState(ck_prefix + "3");
     EXPECT_EQ(c.episodes_done(), 3);
     c.Train(3, [&](const EpisodeDiagnostics& d) {
@@ -177,8 +178,9 @@ TEST(TrainResumeTest, KillAndResumeIsBitIdentical) {
     EXPECT_EQ(r.updates, s.updates) << "episode " << r.episode;
   }
 
-  // The full serialized state — actor, critics, targets, optimizers, replay
-  // buffer, RNG stream, counters — is byte-identical.
+  // The full serialized state — actor, critics, targets, optimizers, sharded
+  // replay and its interleave cursor, every RNG stream, counters — is
+  // byte-identical.
   EXPECT_EQ(ReadFileBytes(straight_path), ReadFileBytes(resumed_path));
 }
 

@@ -160,15 +160,41 @@ TEST(VectorizedTrainerTest, MetricsAreRegisteredAtConstruction) {
        {"train.episodes_total", "train.rounds_total", "train.env_steps_total",
         "train.actor_steps_total", "train.interleave_stalls_total", "train.replay_size",
         "train.exploration_noise", "train.round_seconds", "train.update_seconds",
-        "train.replay_shard_occupancy.0", "train.replay_shard_occupancy.3"}) {
+        "train.episode_reward", "train.critic_loss", "train.critic_grad_norm",
+        "train.actor_grad_norm", "train.replay_shard_occupancy.0",
+        "train.replay_shard_occupancy.3"}) {
     EXPECT_NE(snapshot.find(name), std::string::npos) << name;
   }
 }
 
+TEST(VectorizedTrainerTest, StallCounterIncludesTheEpisodeEndTail) {
+  // 2.3 s episodes with a 0.5 s update interval leave a 0.3 s tail after the
+  // last round; the stalls its drain causes must reach the counter too.
+  VectorizedTrainerConfig config = FastConfig();
+  config.episode_length = Milliseconds(2300);
+  const Counter& stalls = MetricsRegistry::Global().GetCounter("train.interleave_stalls_total");
+  VectorizedTrainer trainer(config);
+  const uint64_t before = stalls.Value();
+  trainer.Train(3, [](const EpisodeDiagnostics&) {});
+  EXPECT_GT(trainer.replay().interleave_stalls(), 0u);
+  EXPECT_EQ(stalls.Value() - before, trainer.replay().interleave_stalls());
+}
+
+TEST(VectorizedTrainerTest, EpisodeHistogramsGetOneSamplePerEpisode) {
+  const Histogram& critic_loss = MetricsRegistry::Global().GetHistogram("train.critic_loss");
+  const Histogram& reward = MetricsRegistry::Global().GetHistogram("train.episode_reward");
+  VectorizedTrainer trainer(FastConfig());
+  const uint64_t losses = critic_loss.Count();
+  const uint64_t rewards = reward.Count();
+  trainer.Train(2, [](const EpisodeDiagnostics&) {});
+  EXPECT_EQ(critic_loss.Count() - losses, 2u);
+  EXPECT_EQ(reward.Count() - rewards, 2u);
+}
+
 TEST(DomainSamplerTest, TableThreeConsumesNoExtraDraws) {
   // A TableThree sampler must leave the Rng stream exactly where the base
-  // SampleEpisode left it — that equivalence is what keeps the serial
-  // Learner's episode sequence byte-identical after the refactor.
+  // SampleEpisode left it, so Table-3 training draws exactly the paper's
+  // episode distribution and no extra randomness.
   DomainRanges ranges = DomainRanges::TableThree();
   DomainSampler sampler(ranges);
   Rng a(77);

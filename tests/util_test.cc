@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/util/backoff.h"
@@ -322,6 +325,35 @@ TEST(RngTest, BernoulliRate) {
     hits += rng.Bernoulli(0.25) ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
+}
+
+TEST(RngTest, NormalMatchesStandardLibraryBitForBit) {
+  for (const auto& [mean, stddev] :
+       std::vector<std::pair<double, double>>{{0.0, 1.0}, {0.0, 0.15}, {-2.5, 3.0}, {1e6, 1e-3}}) {
+    Rng rng(31);
+    std::mt19937_64 engine = rng.engine();
+    for (int i = 0; i < 200; ++i) {
+      std::normal_distribution<double> reference(mean, stddev);
+      const double want = reference(engine);
+      const double got = rng.Normal(mean, stddev);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "N(" << mean << ", " << stddev << ") draw " << i;
+    }
+  }
+}
+
+TEST(RngTest, NormalWithZeroStddevReturnsMeanAndAdvancesTheStream) {
+  Rng noisy(8);
+  Rng silent(8);
+  for (int i = 0; i < 100; ++i) {
+    noisy.Normal(0.0, 0.1);
+    EXPECT_EQ(silent.Normal(0.25, 0.0), 0.25);
+    EXPECT_EQ(silent.Normal(-3.0, 0.0), -3.0);
+    noisy.Normal(0.0, 0.1);
+  }
+  // Zero noise consumes the same engine draws as nonzero noise, so a
+  // noise-free evaluation leaves every later draw where it would be.
+  EXPECT_EQ(noisy.engine(), silent.engine());
 }
 
 TEST(JainIndexTest, EqualAllocationIsOne) {

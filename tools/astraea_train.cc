@@ -8,11 +8,11 @@
 //                 [--metrics-out train_metrics.jsonl]
 //                 [--promote-against models/astraea_policy.ckpt]
 //
-// Without --workers, training runs the original serial Learner. With
-// --workers N (N >= 1) it runs the vectorized trainer (DESIGN.md §14):
-// --envs parallel actor environments on N threads feeding one TD3 learner
+// Training runs the vectorized trainer (DESIGN.md §14): --envs actor
+// environments on --workers threads (default 1) feeding one TD3 learner
 // through a sharded replay buffer with a deterministic interleave — results
-// are bit-identical for every N, so --workers only changes wall-clock.
+// are bit-identical for every worker count, so --workers only changes
+// wall-clock.
 // --randomize widens episode sampling from the Table-3 ranges to the full
 // scenario-family domain (loss, RED/CoDel, LTE-like rate traces).
 //
@@ -39,7 +39,6 @@
 #include <functional>
 #include <string>
 
-#include "src/core/learner.h"
 #include "src/train/promotion.h"
 #include "src/train/vectorized_trainer.h"
 #include "src/util/cli_flags.h"
@@ -126,7 +125,7 @@ int Main(int argc, char** argv) {
   uint64_t seed = 7;
   bool print_config = false;
   std::string metrics_out;
-  int workers = -1;  // <0: serial Learner path
+  int workers = 1;
   int shards = 8;
   bool randomize = false;
   std::string promote_against;
@@ -174,8 +173,8 @@ int Main(int argc, char** argv) {
   }
 
   if (print_config) {
-    LearnerConfig config;
-    std::printf("%s", DescribeConfig(config.hp, config.ranges).c_str());
+    const VectorizedTrainerConfig config;
+    std::printf("%s", DescribeConfig(config.hp, config.domain.base).c_str());
     return 0;
   }
 
@@ -206,110 +205,63 @@ int Main(int argc, char** argv) {
   printer.checkpoint_every = checkpoint_every;
   printer.out = out;
 
-  int episodes_done_at_end = 0;
-  if (workers >= 1) {
-    VectorizedTrainerConfig config;
-    config.seed = seed;
-    config.episode_length = Seconds(episode_len_s);
-    config.num_envs = env_instances;
-    config.workers = static_cast<size_t>(workers);
-    config.replay_shards = static_cast<size_t>(shards);
-    config.domain = randomize ? DomainRanges::Extended() : DomainRanges::TableThree();
-    config.exploration_decay_episodes = episodes;
+  VectorizedTrainerConfig config;
+  config.seed = seed;
+  config.episode_length = Seconds(episode_len_s);
+  config.num_envs = env_instances;
+  config.workers = static_cast<size_t>(workers);
+  config.replay_shards = static_cast<size_t>(shards);
+  config.domain = randomize ? DomainRanges::Extended() : DomainRanges::TableThree();
+  config.exploration_decay_episodes = episodes;
 
-    VectorizedTrainer trainer(config);
-    if (!resume.empty()) {
-      try {
-        trainer.LoadState(resume);
-      } catch (const SerializationError& e) {
-        std::fprintf(stderr, "cannot resume from %s: %s\n", resume.c_str(), e.what());
-        return 1;
-      }
-      std::printf("resumed from %s at episode %d\n", resume.c_str(), trainer.episodes_done());
+  VectorizedTrainer trainer(config);
+  if (!resume.empty()) {
+    try {
+      trainer.LoadState(resume);
+    } catch (const SerializationError& e) {
+      std::fprintf(stderr, "cannot resume from %s: %s\n", resume.c_str(), e.what());
+      return 1;
     }
-    const int remaining = episodes - trainer.episodes_done();
-    if (remaining <= 0) {
-      std::printf("checkpoint already at episode %d >= target %d; nothing to do\n",
-                  trainer.episodes_done(), episodes);
-      return 0;
-    }
-    std::printf(
-        "training Astraea to episode %d (%d to go, %d envs, %d workers, %s domain, episode "
-        "length %.0fs)\n",
-        episodes, remaining, env_instances, workers, randomize ? "extended" : "table-3",
-        episode_len_s);
-    std::printf("%-8s %-12s %-10s %-10s %-12s %-10s\n", "episode", "mean_reward", "r_fair",
-                "r_thr", "critic_loss", "eval_jain");
-    printer.save_policy = [&trainer](const std::string& path) { trainer.SaveCheckpoint(path); };
-    printer.save_state = [&trainer, &out, &rotate](int episode) {
-      const std::string path = out + ".state-" + std::to_string(episode);
-      trainer.SaveState(path);
-      return rotate(path);
-    };
-    trainer.Train(remaining, std::ref(printer));
-    if (checkpoint_every > 0 && trainer.episodes_done() % checkpoint_every != 0) {
-      printer.save_state(trainer.episodes_done());
-    }
-    if (printer.best_jain < 0.0) {
-      trainer.SaveCheckpoint(out);
-    }
-    episodes_done_at_end = trainer.episodes_done();
-    std::printf("state fingerprint: %08x (env steps %llu)\n", trainer.StateFingerprint(),
-                static_cast<unsigned long long>(trainer.total_env_steps()));
-  } else {
-    LearnerConfig config;
-    config.seed = seed;
-    config.episode_length = Seconds(episode_len_s);
-    config.env_instances = env_instances;
-    // Pin the noise schedule to the total target so checkpointed/resumed runs
-    // and straight-through runs follow identical decay.
-    config.exploration_decay_episodes = episodes;
-
-    Learner learner(config);
-    if (!resume.empty()) {
-      try {
-        learner.LoadState(resume);
-      } catch (const SerializationError& e) {
-        std::fprintf(stderr, "cannot resume from %s: %s\n", resume.c_str(), e.what());
-        return 1;
-      }
-      std::printf("resumed from %s at episode %d\n", resume.c_str(), learner.episodes_done());
-    }
-    const int remaining = episodes - learner.episodes_done();
-    if (remaining <= 0) {
-      std::printf("checkpoint already at episode %d >= target %d; nothing to do\n",
-                  learner.episodes_done(), episodes);
-      return 0;
-    }
-    std::printf("training Astraea to episode %d (%d to go, episode length %.0fs)\n", episodes,
-                remaining, episode_len_s);
-    std::printf("%-8s %-12s %-10s %-10s %-12s %-10s\n", "episode", "mean_reward", "r_fair",
-                "r_thr", "critic_loss", "eval_jain");
-    printer.save_policy = [&learner](const std::string& path) { learner.SaveCheckpoint(path); };
-    printer.save_state = [&learner, &out, &rotate](int episode) {
-      const std::string path = out + ".state-" + std::to_string(episode);
-      learner.SaveState(path);
-      return rotate(path);
-    };
-    learner.Train(remaining, std::ref(printer));
-    if (checkpoint_every > 0 && learner.episodes_done() % checkpoint_every != 0) {
-      printer.save_state(learner.episodes_done());
-    }
-    if (printer.best_jain < 0.0) {
-      learner.SaveCheckpoint(out);
-    }
-    episodes_done_at_end = learner.episodes_done();
+    std::printf("resumed from %s at episode %d\n", resume.c_str(), trainer.episodes_done());
   }
+  const int remaining = episodes - trainer.episodes_done();
+  if (remaining <= 0) {
+    std::printf("checkpoint already at episode %d >= target %d; nothing to do\n",
+                trainer.episodes_done(), episodes);
+    return 0;
+  }
+  std::printf(
+      "training Astraea to episode %d (%d to go, %d envs, %d workers, %s domain, episode "
+      "length %.0fs)\n",
+      episodes, remaining, env_instances, workers, randomize ? "extended" : "table-3",
+      episode_len_s);
+  std::printf("%-8s %-12s %-10s %-10s %-12s %-10s\n", "episode", "mean_reward", "r_fair",
+              "r_thr", "critic_loss", "eval_jain");
+  printer.save_policy = [&trainer](const std::string& path) { trainer.SaveCheckpoint(path); };
+  printer.save_state = [&trainer, &out, &rotate](int episode) {
+    const std::string path = out + ".state-" + std::to_string(episode);
+    trainer.SaveState(path);
+    return rotate(path);
+  };
+  trainer.Train(remaining, std::ref(printer));
+  if (checkpoint_every > 0 && trainer.episodes_done() % checkpoint_every != 0) {
+    printer.save_state(trainer.episodes_done());
+  }
+  if (printer.best_jain < 0.0) {
+    trainer.SaveCheckpoint(out);
+  }
+  std::printf("state fingerprint: %08x (env steps %llu)\n", trainer.StateFingerprint(),
+              static_cast<unsigned long long>(trainer.total_env_steps()));
 
   if (metrics_file != nullptr) {
-    // Final line: the whole process-wide registry (learner.*/train.* gauges
+    // Final line: the whole process-wide registry (train.* counters, gauges
     // and histograms, inference.* if any ran) as one JSON object.
     std::fprintf(metrics_file, "{\"registry\":%s}\n",
                  MetricsRegistry::Global().ToJson().c_str());
     std::fclose(metrics_file);
   }
-  std::printf("done at episode %d; best eval Jain %.4f; checkpoint: %s\n", episodes_done_at_end,
-              printer.best_jain, out.c_str());
+  std::printf("done at episode %d; best eval Jain %.4f; checkpoint: %s\n",
+              trainer.episodes_done(), printer.best_jain, out.c_str());
 
   if (!promote_against.empty()) {
     return RunPromotion(out, promote_against);
