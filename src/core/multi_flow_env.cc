@@ -174,10 +174,4 @@ EpisodeStats MultiFlowEnv::Finish() {
   return stats_;
 }
 
-EpisodeStats MultiFlowEnv::Run() {
-  while (AdvanceOneInterval()) {
-  }
-  return Finish();
-}
-
 }  // namespace astraea

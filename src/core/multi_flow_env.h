@@ -13,8 +13,8 @@
 // N environments advance one model-update interval each
 // (AdvanceOneInterval) on the thread pool, a barrier drains their staged
 // transitions in deterministic order, the learner updates, and the next
-// round begins with fresh actor snapshots. Run() plays a whole episode
-// without pausing, for evaluation.
+// round begins with fresh actor snapshots. Evaluation does not use this
+// environment: it scores a plain scenario (src/train/scoring.h).
 
 #ifndef SRC_CORE_MULTI_FLOW_ENV_H_
 #define SRC_CORE_MULTI_FLOW_ENV_H_
@@ -91,8 +91,6 @@ class MultiFlowEnv {
   // episode means. Call exactly once, after AdvanceOneInterval() returns
   // false.
   EpisodeStats Finish();
-  // The whole episode: while (AdvanceOneInterval()) {} return Finish();
-  EpisodeStats Run();
 
   Network& network() { return *network_; }
   const EnvEpisodeConfig& config() const { return config_; }

@@ -48,7 +48,8 @@ Mlp LoadActorFile(const std::string& path) {
   return Mlp::Load(&reader);
 }
 
-InferenceServer::InferenceServer(InferenceServerConfig config) : config_(std::move(config)) {
+InferenceServer::InferenceServer(InferenceServerConfig config)
+    : config_(std::move(config)), metrics_(RegisterServerMetrics()) {
   actor_ = std::make_unique<Mlp>(LoadActorFile(config_.model_path));
   model_input_dim_.store(actor_->input_size(), std::memory_order_release);
   if (actor_->input_size() > static_cast<int>(kMaxStateDim)) {
@@ -74,20 +75,6 @@ InferenceServer::InferenceServer(InferenceServerConfig config) : config_(std::mo
   // Every serve.* name (both sides of the boundary) exists zero-valued from
   // this point on — scrapes taken before the first request still have keys.
   RegisterServeMetrics();
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  requests_total_ = &reg.GetCounter("serve.requests_total");
-  batches_total_ = &reg.GetCounter("serve.batches_total");
-  bad_requests_total_ = &reg.GetCounter("serve.bad_requests_total");
-  responses_dropped_total_ = &reg.GetCounter("serve.responses_dropped_total");
-  reloads_total_ = &reg.GetCounter("serve.reloads_total");
-  reload_errors_total_ = &reg.GetCounter("serve.reload_errors_total");
-  shed_total_ = &reg.GetCounter("serve.shed_total");
-  drain_rounds_total_ = &reg.GetCounter("serve.drain_rounds");
-  clients_gauge_ = &reg.GetGauge("serve.clients");
-  queue_depth_gauge_ = &reg.GetGauge("serve.queue_depth");
-  est_batch_latency_gauge_ = &reg.GetGauge("serve.est_batch_latency_seconds");
-  batch_size_hist_ = &reg.GetHistogram("serve.batch_size");
-  service_latency_hist_ = &reg.GetHistogram("serve.service_latency_seconds");
 }
 
 InferenceServer::~InferenceServer() {
@@ -190,7 +177,7 @@ void InferenceServer::AcceptClients() {
     client->region = std::move(region);
     clients_.push_back(std::move(client));
     client_count_.store(clients_.size(), std::memory_order_release);
-    clients_gauge_->Set(static_cast<double>(clients_.size()));
+    metrics_.clients.Set(static_cast<double>(clients_.size()));
     ASTRAEA_LOG(Info) << "serve: client connected (" << clients_.size() << " active)";
   }
 }
@@ -202,7 +189,7 @@ void InferenceServer::RespondError(Client* client, uint64_t req_id, uint32_t sta
   resp.action = 0.0f;
   resp.crc = ResponseCrc(resp);
   if (!client->region->response.TryPush(&resp, sizeof(resp))) {
-    responses_dropped_total_->Increment();
+    metrics_.responses_dropped_total.Increment();
   }
   ipc::WakeConsumer(&client->region->response);
 }
@@ -257,9 +244,9 @@ void InferenceServer::DrainRequests() {
       }
       any = true;
       ++drained;
-      requests_total_->Increment();
+      metrics_.requests_total.Increment();
       if (!ValidRequest(req) || req.state_dim != static_cast<uint32_t>(dim)) {
-        bad_requests_total_->Increment();
+        metrics_.bad_requests_total.Increment();
         RespondError(client, req.req_id, static_cast<uint32_t>(ResponseStatus::kBadRequest));
         continue;
       }
@@ -274,7 +261,7 @@ void InferenceServer::DrainRequests() {
         if (projected_done > static_cast<TimeNs>(req.deadline_ns)) {
           // Cannot be served before its deadline: shed it NOW so the client
           // falls back immediately instead of discovering the miss by timeout.
-          shed_total_->Increment();
+          metrics_.shed_total.Increment();
           shed_total_count_.fetch_add(1, std::memory_order_acq_rel);
           RespondError(client, req.req_id, static_cast<uint32_t>(ResponseStatus::kRejected));
           continue;
@@ -285,7 +272,7 @@ void InferenceServer::DrainRequests() {
     }
   }
   if (drained > 0) {
-    drain_rounds_total_->Increment(rounds);
+    metrics_.drain_rounds.Increment(rounds);
   }
 }
 
@@ -299,10 +286,10 @@ void InferenceServer::FlushBatch() {
   // (and counted by the admission projection) for the next pass. Flushing the
   // whole backlog in one giant forward pass would make the flush-latency
   // estimate meaningless and starve newly arrived requests of drain cycles.
-  queue_depth_gauge_->Set(static_cast<double>(pending_.size()));
+  metrics_.queue_depth.Set(static_cast<double>(pending_.size()));
   const size_t n = std::min(pending_.size(), config_.max_batch);
   const size_t dim = static_cast<size_t>(model_input_dim_.load(std::memory_order_relaxed));
-  batch_size_hist_->Observe(static_cast<double>(n));
+  metrics_.batch_size.Observe(static_cast<double>(n));
 
   bool infer_ok = true;
   std::span<const float> out;
@@ -335,16 +322,16 @@ void InferenceServer::FlushBatch() {
       resp.crc ^= 0xA5A5A5A5u;  // deliberate CRC damage: client must reject it
     }
     if (!client->region->response.TryPush(&resp, sizeof(resp))) {
-      responses_dropped_total_->Increment();
+      metrics_.responses_dropped_total.Increment();
     }
-    service_latency_hist_->Observe(ToSeconds(std::max<TimeNs>(now - p.enqueue_ns, 0)));
+    metrics_.service_latency_seconds.Observe(ToSeconds(std::max<TimeNs>(now - p.enqueue_ns, 0)));
     touched.insert(p.client_index);
   }
   for (const size_t c : touched) {
     ipc::WakeConsumer(&clients_[c]->region->response);
   }
   served_total_.fetch_add(n, std::memory_order_acq_rel);
-  batches_total_->Increment();
+  metrics_.batches_total.Increment();
   pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(n));
   batch_states_.erase(batch_states_.begin(),
                       batch_states_.begin() + static_cast<ptrdiff_t>(n * dim));
@@ -356,7 +343,7 @@ void InferenceServer::FlushBatch() {
   // the measured window on purpose.
   const TimeNs flush_cost = std::max<TimeNs>(ipc::MonotonicNowNs() - flush_start, 0);
   est_flush_ns_ = est_flush_ns_ == 0 ? flush_cost : (est_flush_ns_ * 7 + flush_cost) / 8;
-  est_batch_latency_gauge_->Set(ToSeconds(est_flush_ns_));
+  metrics_.est_batch_latency_seconds.Set(ToSeconds(est_flush_ns_));
 }
 
 void InferenceServer::MaybeReload() {
@@ -370,12 +357,12 @@ void InferenceServer::MaybeReload() {
     }
     actor_ = std::make_unique<Mlp>(std::move(next));
     model_input_dim_.store(actor_->input_size(), std::memory_order_release);
-    reloads_total_->Increment();
+    metrics_.reloads_total.Increment();
     reloads_done_.fetch_add(1, std::memory_order_acq_rel);
     ASTRAEA_LOG(Info) << "serve: reloaded model from " << config_.model_path;
   } catch (const std::exception& e) {
     // Keep serving the previous actor; a bad swap must not take the service down.
-    reload_errors_total_->Increment();
+    metrics_.reload_errors_total.Increment();
     ASTRAEA_LOG(Warning) << "serve: model reload failed (" << e.what()
                          << "); keeping previous actor";
   }
@@ -394,7 +381,7 @@ void InferenceServer::ReapDeadClients() {
   }
   if (changed) {
     client_count_.store(clients_.size(), std::memory_order_release);
-    clients_gauge_->Set(static_cast<double>(clients_.size()));
+    metrics_.clients.Set(static_cast<double>(clients_.size()));
     ASTRAEA_LOG(Info) << "serve: client disconnected (" << clients_.size() << " active)";
   }
 }

@@ -61,14 +61,10 @@
 
 #include "src/ipc/shm_ring.h"
 #include "src/nn/mlp.h"
+#include "src/serve/serve_metrics.h"
 #include "src/util/time.h"
 
 namespace astraea {
-
-class Counter;
-class Gauge;
-class Histogram;
-
 namespace serve {
 
 // Loads an actor network from `path`, accepting either a PR-2 checkpoint
@@ -162,20 +158,7 @@ class InferenceServer {
   std::atomic<uint64_t> reloads_done_{0};
   std::atomic<uint64_t> shed_total_count_{0};
 
-  // Cached metric handles (registry references are stable).
-  Counter* requests_total_;
-  Counter* batches_total_;
-  Counter* bad_requests_total_;
-  Counter* responses_dropped_total_;
-  Counter* reloads_total_;
-  Counter* reload_errors_total_;
-  Counter* shed_total_;
-  Counter* drain_rounds_total_;
-  Gauge* clients_gauge_;
-  Gauge* queue_depth_gauge_;
-  Gauge* est_batch_latency_gauge_;
-  Histogram* batch_size_hist_;
-  Histogram* service_latency_hist_;
+  ServerMetrics metrics_;
 };
 
 }  // namespace serve

@@ -63,15 +63,9 @@ ServeClient::ServeClient(ServeClientConfig config, ipc::MappedRegion region, int
       region_(std::move(region)),
       sock_(sock),
       event_fd_(event_fd),
-      model_input_dim_(model_input_dim) {
+      model_input_dim_(model_input_dim),
+      metrics_(RegisterClientMetrics()) {
   RegisterServeMetrics();
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  requests_total_ = &reg.GetCounter("serve.client.requests_total");
-  timeouts_total_ = &reg.GetCounter("serve.client.timeouts_total");
-  corrupt_total_ = &reg.GetCounter("serve.client.corrupt_total");
-  rejected_total_ = &reg.GetCounter("serve.client.rejected_total");
-  outstanding_gauge_ = &reg.GetGauge("serve.client.outstanding");
-  latency_hist_ = &reg.GetHistogram("serve.client.latency_seconds");
 }
 
 ServeClient::~ServeClient() {
@@ -116,7 +110,7 @@ RequestResult ServeClient::RequestDetailed(std::span<const float> state) {
   if (state.empty() || state.size() > kMaxStateDim) {
     return {RequestOutcome::kError, 0.0};
   }
-  requests_total_->Increment();
+  metrics_.requests_total.Increment();
   const uint64_t id = ++next_req_id_;
   const TimeNs t0 = ipc::MonotonicNowNs();
   const TimeNs deadline = t0 + std::max<TimeNs>(config_.rpc_timeout, 0);
@@ -131,10 +125,10 @@ RequestResult ServeClient::RequestDetailed(std::span<const float> state) {
     // Ring full: the server has not consumed anything for a whole ring's
     // worth of requests — check whether it is still there at all.
     CheckServerAlive();
-    timeouts_total_->Increment();
+    metrics_.timeouts_total.Increment();
     return {RequestOutcome::kTimeout, 0.0};
   }
-  outstanding_gauge_->Add(1.0);
+  metrics_.outstanding.Add(1.0);
   // Dekker handshake with the server's idle park (see SpscRing docs): the
   // push's doorbell bump must be globally visible before the parked-flag
   // read, and a parked server is woken through its shared eventfd.
@@ -151,15 +145,15 @@ RequestResult ServeClient::RequestDetailed(std::span<const float> state) {
       if (!ValidResponse(resp)) {
         // A record that fails its CRC means the region can no longer be
         // trusted; stop using it rather than risk acting on garbage.
-        corrupt_total_->Increment();
+        metrics_.corrupt_total.Increment();
         MarkDead();
-        outstanding_gauge_->Add(-1.0);
+        metrics_.outstanding.Add(-1.0);
         return {RequestOutcome::kCorrupt, 0.0};
       }
       if (resp.req_id < id) {
         continue;  // stale answer to a request we already gave up on
       }
-      outstanding_gauge_->Add(-1.0);
+      metrics_.outstanding.Add(-1.0);
       if (resp.req_id != id) {
         return {RequestOutcome::kError, 0.0};
       }
@@ -167,21 +161,21 @@ RequestResult ServeClient::RequestDetailed(std::span<const float> state) {
         // Admission shed: the server told us *now* it cannot make the
         // deadline. The serving path is alive and healthy — this is load,
         // not failure — so fall back for this decision only, cheaply.
-        rejected_total_->Increment();
+        metrics_.rejected_total.Increment();
         return {RequestOutcome::kRejected, 0.0};
       }
       if (resp.status != static_cast<uint32_t>(ResponseStatus::kOk) ||
           !std::isfinite(resp.action)) {
         return {RequestOutcome::kError, 0.0};
       }
-      latency_hist_->Observe(ToSeconds(ipc::MonotonicNowNs() - t0));
+      metrics_.latency_seconds.Observe(ToSeconds(ipc::MonotonicNowNs() - t0));
       return {RequestOutcome::kOk, std::clamp(static_cast<double>(resp.action), -1.0, 1.0)};
     }
     const TimeNs now = ipc::MonotonicNowNs();
     if (now >= deadline) {
       ++timeouts_;
-      timeouts_total_->Increment();
-      outstanding_gauge_->Add(-1.0);
+      metrics_.timeouts_total.Increment();
+      metrics_.outstanding.Add(-1.0);
       // Distinguish "slow" (per-request fallback, keep trying) from "dead"
       // (permanent fallback, stop paying the timeout on every decision).
       CheckServerAlive();
@@ -198,11 +192,9 @@ RemotePolicy::RemotePolicy(std::unique_ptr<ServeClient> client,
       fallback_(std::move(fallback)),
       reconnect_(std::move(reconnect)),
       backoff_(reconnect_ ? reconnect_->backoff : BackoffConfig{},
-               reconnect_ ? reconnect_->seed : 1) {
+               reconnect_ ? reconnect_->seed : 1),
+      metrics_(RegisterRemotePolicyMetrics()) {
   RegisterServeMetrics();
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  fallback_total_ = &reg.GetCounter("serve.fallback_total");
-  reconnects_total_ = &reg.GetCounter("serve.client.reconnects_total");
 }
 
 uint64_t RemotePolicy::reconnects() const {
@@ -238,7 +230,7 @@ std::shared_ptr<ServeClient> RemotePolicy::HealthyClient() const {
   backoff_.Reset();
   next_probe_ns_ = 0;
   ++reconnects_;
-  reconnects_total_->Increment();
+  metrics_.reconnects_total.Increment();
   ASTRAEA_LOG(Info) << "serve: (re)attached to inference server at "
                     << reconnect_->client.socket_path << " (attach #" << reconnects_ << ")";
   return client_;
@@ -251,7 +243,7 @@ double RemotePolicy::Act(const StateView& view) const {
       return result.action;
     }
   }
-  fallback_total_->Increment();
+  metrics_.fallback_total.Increment();
   return fallback_->Act(view);
 }
 

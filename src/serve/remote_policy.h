@@ -39,15 +39,11 @@
 
 #include "src/core/policy.h"
 #include "src/ipc/shm_ring.h"
+#include "src/serve/serve_metrics.h"
 #include "src/util/backoff.h"
 #include "src/util/time.h"
 
 namespace astraea {
-
-class Counter;
-class Gauge;
-class Histogram;
-
 namespace serve {
 
 struct ServeClientConfig {
@@ -123,12 +119,7 @@ class ServeClient {
   uint64_t timeouts_ = 0;
   bool healthy_ = true;
 
-  Counter* requests_total_;
-  Counter* timeouts_total_;
-  Counter* corrupt_total_;
-  Counter* rejected_total_;
-  Gauge* outstanding_gauge_;
-  Histogram* latency_hist_;
+  ClientMetrics metrics_;
 };
 
 // Reconnection behaviour for a self-healing RemotePolicy.
@@ -171,8 +162,7 @@ class RemotePolicy : public Policy {
   mutable ExponentialBackoff backoff_;
   mutable TimeNs next_probe_ns_ = 0;  // monotonic; 0 = probe immediately
   mutable uint64_t reconnects_ = 0;
-  Counter* fallback_total_;
-  Counter* reconnects_total_;
+  RemotePolicyMetrics metrics_;
 };
 
 // Convenience: connect to `socket_path` and wrap the result in a

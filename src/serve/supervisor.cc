@@ -55,7 +55,7 @@ Supervisor::Supervisor(SupervisorConfig config, std::function<int(TimeNs elapsed
 }
 
 int Supervisor::Run() {
-  Counter& restarts_total = MetricsRegistry::Global().GetCounter("serve.supervisor.restarts_total");
+  Counter& restarts_total = RegisterSupervisorMetrics().restarts_total;
   const TimeNs start = ipc::MonotonicNowNs();
   int last_status = 0;
   while (!stop_.load(std::memory_order_acquire)) {

@@ -1,106 +1,31 @@
 #include "src/train/promotion.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 
-#include "src/cc/newreno.h"
-#include "src/cc/udp_blast.h"
-#include "src/core/astraea_controller.h"
-#include "src/sim/network.h"
-#include "src/sim/rate_provider.h"
+#include "src/util/checkpoint.h"
 #include "src/util/metrics.h"
-#include "src/util/stats.h"
 
 namespace astraea {
 
 namespace {
 
-// Composite the verdict compares: reward-shaped but dimensionless. Latency
-// only penalizes past the reward block's (1+beta) grace band, in units of
-// the base RTT; loss is weighted like the Eq. 4 loss term relative to
-// throughput.
-double ScoreComposite(const ScenarioScore& s, TimeNs base_rtt, double beta) {
-  const double base_ms = static_cast<double>(base_rtt) / 1e6;
-  const double lat_pen = std::max(0.0, s.p95_delay_ms / base_ms - (1.0 + beta));
-  return s.utilization + s.jain - 0.25 * lat_pen - 2.0 * s.loss_rate;
+// ScoreScenario plus the composite the verdict compares: reward-shaped but
+// dimensionless. Latency only penalizes past the reward block's (1+beta)
+// grace band, in units of the base RTT; loss is weighted like the Eq. 4 loss
+// term relative to throughput.
+ScenarioScore Score(const ScoringScenario& row, std::shared_ptr<const Policy> policy,
+                    const AstraeaHyperparameters& hp) {
+  ScenarioScore s = ScoreScenario(row, std::move(policy), hp);
+  const double base_ms = static_cast<double>(row.base_rtt) / 1e6;
+  const double lat_pen = std::max(0.0, s.p95_delay_ms / base_ms - (1.0 + hp.reward.beta));
+  s.composite = s.utilization + s.jain - 0.25 * lat_pen - 2.0 * s.loss_rate;
+  return s;
 }
 
 }  // namespace
-
-std::vector<GateScenario> GoldenGateSuite() {
-  std::vector<GateScenario> suite;
-  // Mirrors the golden-trace trio (tools/golden_trace.cc): a clean DropTail
-  // dumbbell, a lossy deep-buffer path, and a RED bottleneck — each as a
-  // 3-flow staggered fairness scenario.
-  GateScenario clean;
-  clean.name = "clean";
-  suite.push_back(clean);
-
-  GateScenario lossy;
-  lossy.name = "lossy";
-  lossy.bandwidth = Mbps(48);
-  lossy.base_rtt = Milliseconds(60);
-  lossy.buffer_bdp = 2.0;
-  lossy.random_loss = 0.01;
-  lossy.seed = 2;
-  suite.push_back(lossy);
-
-  GateScenario red;
-  red.name = "red";
-  red.bandwidth = Mbps(96);
-  red.base_rtt = Milliseconds(30);
-  red.buffer_bdp = 2.0;
-  red.red = true;
-  red.seed = 3;
-  suite.push_back(red);
-  return suite;
-}
-
-std::vector<GateScenario> UniverseGateSuite(const std::string& traces_dir) {
-  std::vector<GateScenario> suite;
-  // Shallow-buffer ECN bottleneck: the datacenter regime, scaled to the
-  // gate's second-scale runtime (the candidate must keep delay low without
-  // starving when the queue marks instead of dropping).
-  GateScenario shallow;
-  shallow.name = "shallow-ecn";
-  shallow.bandwidth = Mbps(96);
-  shallow.base_rtt = Milliseconds(10);
-  shallow.buffer_bdp = 0.5;
-  shallow.ecn = true;
-  shallow.seed = 11;
-  suite.push_back(shallow);
-
-  // Trace replay: the bundled cellular capture (swinging capacity, deep
-  // buffer) — the regime where latency inflation is easiest to buy.
-  GateScenario cellular;
-  cellular.name = "cellular";
-  cellular.trace_path = traces_dir + "/cellular.trace";
-  cellular.buffer_bdp = 8.0;
-  cellular.flows = 2;
-  cellular.seed = 12;
-  suite.push_back(cellular);
-
-  // Contested link: a NewReno competitor from t=0 and an unresponsive blast
-  // through the middle of the scoring window.
-  GateScenario contested;
-  contested.name = "contested";
-  contested.bandwidth = Mbps(48);
-  contested.base_rtt = Milliseconds(30);
-  contested.buffer_bdp = 2.0;
-  contested.flows = 2;
-  contested.cross_traffic = true;
-  contested.seed = 13;
-  suite.push_back(contested);
-  return suite;
-}
 
 PromotionGate::PromotionGate(GateOptions options) : options_(std::move(options)) {
   if (options_.suite.empty()) {
@@ -113,131 +38,6 @@ PromotionGate::PromotionGate(GateOptions options) : options_(std::move(options))
   reg.GetCounter("train.promote.scenarios_total");
 }
 
-ScenarioScore PromotionGate::Evaluate(const GateScenario& scenario,
-                                      std::shared_ptr<const Policy> policy) const {
-  Network network(scenario.seed);
-
-  // When a trace drives the link, its long-run mean rate replaces the nominal
-  // bandwidth for buffer sizing and utilization scoring — the 96 Mbps default
-  // against a ~12 Mbps cellular capture would both oversize the buffer into a
-  // bufferbloat trap and make full utilization unreachable for any policy.
-  std::shared_ptr<RateProvider> trace;
-  RateBps effective_rate = scenario.bandwidth;
-  if (!scenario.trace_path.empty()) {
-    trace = std::make_shared<RateTrace>(LoadMahimahiTrace(scenario.trace_path));
-    effective_rate = trace->CapacityBits(0, scenario.until) / ToSeconds(scenario.until);
-  }
-
-  LinkConfig link;
-  link.name = "gate-bottleneck";
-  link.rate = scenario.bandwidth;
-  link.propagation_delay = scenario.base_rtt / 2;
-  link.buffer_bytes = std::max<uint64_t>(
-      static_cast<uint64_t>(scenario.buffer_bdp *
-                            static_cast<double>(BdpBytes(effective_rate, scenario.base_rtt))),
-      3000);
-  link.random_loss = scenario.random_loss;
-  link.trace = trace;
-  if (scenario.red) {
-    const uint64_t capacity = link.buffer_bytes;
-    link.queue_factory = [capacity](Rng rng) -> std::unique_ptr<QueueDiscipline> {
-      RedConfig red;
-      red.capacity_bytes = capacity;
-      return std::make_unique<RedQueue>(red, rng);
-    };
-  } else if (scenario.ecn) {
-    const uint64_t capacity = link.buffer_bytes;
-    const uint64_t threshold = scenario.ecn_threshold_bytes;
-    link.queue_factory = [capacity, threshold](Rng) -> std::unique_ptr<QueueDiscipline> {
-      EcnConfig ecn;
-      ecn.mark_threshold_bytes = threshold;
-      return std::make_unique<EcnMarkingQueue>(std::make_unique<DropTailQueue>(capacity), ecn);
-    };
-  }
-  network.AddLink(link);
-
-  const AstraeaHyperparameters hp = options_.hp;
-  for (int i = 0; i < scenario.flows; ++i) {
-    FlowSpec spec;
-    spec.scheme = "astraea-gate";
-    spec.start = scenario.stagger * i;
-    spec.duration = -1;
-    spec.link_path = {0};
-    spec.make_cc = [policy, hp] { return std::make_unique<AstraeaController>(policy, hp); };
-    network.AddFlow(spec);
-  }
-  if (scenario.cross_traffic) {
-    // Scored flows are [0, scenario.flows); the environment traffic rides
-    // behind them: a NewReno competitor for the whole run and an
-    // unresponsive blast through the middle of the scoring window.
-    FlowSpec competitor;
-    competitor.scheme = "newreno";
-    competitor.start = 0;
-    competitor.duration = -1;
-    competitor.link_path = {0};
-    competitor.make_cc = [] { return std::make_unique<NewReno>(); };
-    network.AddFlow(competitor);
-
-    const double blast_bps = 0.4 * scenario.bandwidth;
-    FlowSpec blast;
-    blast.scheme = "blast";
-    blast.start = scenario.until / 2 + scenario.until / 8;
-    blast.duration = scenario.until / 8;
-    blast.link_path = {0};
-    blast.make_cc = [blast_bps] { return std::make_unique<UdpBlast>(blast_bps); };
-    network.AddFlow(blast);
-  }
-  network.Run(scenario.until);
-
-  // Score over the second half of the run: every flow is active and the
-  // transient from staggered starts has passed.
-  const TimeNs begin = scenario.until / 2;
-  const TimeNs end = scenario.until;
-
-  ScenarioScore score;
-  double total_mbps = 0.0;
-  std::vector<double> rtt_samples;
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_lost = 0;
-  // Only the Astraea flows are scored; cross traffic (when present) is
-  // environment, not candidate output.
-  const size_t scored = static_cast<size_t>(scenario.flows);
-  for (size_t i = 0; i < scored; ++i) {
-    const FlowStats& stats = network.flow_stats(static_cast<int>(i));
-    total_mbps += stats.throughput_mbps.MeanOver(begin, end);
-    for (const auto& [t, rtt_ms] : stats.rtt_ms.points()) {
-      if (t >= begin && t < end) {
-        rtt_samples.push_back(rtt_ms);
-      }
-    }
-    bytes_sent += stats.bytes_sent;
-    bytes_lost += stats.bytes_lost;
-  }
-  score.utilization =
-      total_mbps /
-      (trace ? trace->CapacityBits(begin, end) / (ToSeconds(end - begin) * 1e6)
-             : scenario.bandwidth / 1e6);
-
-  std::vector<double> rates;
-  double jain_sum = 0.0;
-  int slots = 0;
-  for (TimeNs t = begin; t + Seconds(1.0) <= end; t += Seconds(1.0)) {
-    rates.clear();
-    for (size_t i = 0; i < scored; ++i) {
-      rates.push_back(network.flow_stats(static_cast<int>(i)).throughput_mbps.MeanOver(
-          t, t + Seconds(1.0)));
-    }
-    jain_sum += JainIndex(rates);
-    ++slots;
-  }
-  score.jain = slots > 0 ? jain_sum / slots : 1.0;
-  score.p95_delay_ms = rtt_samples.empty() ? 0.0 : Percentile(std::move(rtt_samples), 95.0);
-  score.loss_rate =
-      bytes_sent > 0 ? static_cast<double>(bytes_lost) / static_cast<double>(bytes_sent) : 0.0;
-  score.composite = ScoreComposite(score, scenario.base_rtt, options_.hp.reward.beta);
-  return score;
-}
-
 GateReport PromotionGate::Compare(std::shared_ptr<const Policy> candidate,
                                   std::shared_ptr<const Policy> incumbent) const {
   constexpr double kTieTolerance = 1e-6;
@@ -245,11 +45,11 @@ GateReport PromotionGate::Compare(std::shared_ptr<const Policy> candidate,
   MetricsRegistry& reg = MetricsRegistry::Global();
   double worst_regression = 0.0;
   std::string worst_scenario;
-  for (const GateScenario& scenario : options_.suite) {
+  for (const ScoringScenario& scenario : options_.suite) {
     GateScenarioResult result;
     result.name = scenario.name;
-    result.candidate = Evaluate(scenario, candidate);
-    result.incumbent = Evaluate(scenario, incumbent);
+    result.candidate = Score(scenario, candidate, options_.hp);
+    result.incumbent = Score(scenario, incumbent, options_.hp);
     reg.GetCounter("train.promote.scenarios_total").Increment(2);
     report.candidate_total += result.candidate.composite;
     report.incumbent_total += result.incumbent.composite;
@@ -329,41 +129,7 @@ void AtomicInstall(const std::string& candidate_path, const std::string& install
   }
   std::ostringstream blob;
   blob << in.rdbuf();
-  const std::string bytes = blob.str();
-
-  const std::string tmp = install_path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw SerializationError("cannot open " + tmp + ": " + std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      const int saved = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw SerializationError("write to " + tmp + " failed: " + std::strerror(saved));
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    throw SerializationError("fsync/close of " + tmp + " failed");
-  }
-  if (::rename(tmp.c_str(), install_path.c_str()) != 0) {
-    const int saved = errno;
-    ::unlink(tmp.c_str());
-    throw SerializationError("rename to " + install_path + " failed: " + std::strerror(saved));
-  }
-  std::string dir = install_path;
-  const size_t slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash + 1);
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
-    ::close(dirfd);
-  }
+  WriteFileDurably(install_path, blob.str());
 }
 
 }  // namespace astraea

@@ -1,11 +1,12 @@
-// Checkpoint promotion gate (DESIGN.md §14): a candidate policy replaces the
-// incumbent only after beating it on the golden scenario trio — the same
-// link configurations the 27 golden traces pin (clean / lossy / RED), each
-// run as a staggered multi-flow dumbbell and scored on utilization, Jain
-// fairness and p95 delay. tools/astraea_promote wraps this in a CLI whose
-// accept path installs the candidate with the checkpoint container's atomic
-// tmp+fsync+rename protocol, so astraea_serve's SIGHUP hot-reload (PR 4)
-// only ever sees a fully written, gate-approved artifact.
+// Checkpoint promotion gate (DESIGN.md §14.5): a candidate policy replaces
+// the incumbent only after beating it on the golden scenario trio — the link
+// configurations the clean / lossy / RED golden traces pin, each run as a
+// staggered multi-flow dumbbell (GoldenGateSuite() in scoring.h). The gate
+// scores both policies with ScoreScenario() and owns only the composite and
+// the verdict. tools/astraea_promote wraps this in a CLI whose accept path
+// installs the candidate with the checkpoint container's durable-write
+// protocol, so astraea_serve's SIGHUP hot-reload only ever sees a fully
+// written, gate-approved artifact.
 
 #ifndef SRC_TRAIN_PROMOTION_H_
 #define SRC_TRAIN_PROMOTION_H_
@@ -16,50 +17,9 @@
 
 #include "src/core/policy.h"
 #include "src/core/training_config.h"
-#include "src/sim/queue_disc.h"
-#include "src/util/time.h"
+#include "src/train/scoring.h"
 
 namespace astraea {
-
-// One gate scenario: a dumbbell the candidate must not regress on.
-struct GateScenario {
-  std::string name;
-  RateBps bandwidth = Mbps(96);
-  TimeNs base_rtt = Milliseconds(40);
-  double buffer_bdp = 1.0;
-  double random_loss = 0.0;
-  bool red = false;     // RED bottleneck instead of DropTail
-  int flows = 3;        // Astraea flows, staggered by `stagger`
-  TimeNs stagger = Seconds(1.0);
-  TimeNs until = Seconds(8.0);
-  uint64_t seed = 1;
-  // Universe extensions (--suite=universe). Scores always cover the Astraea
-  // flows only, so cross traffic shapes the environment without polluting
-  // the utilization/Jain columns.
-  std::string trace_path;             // Mahimahi capture drives the link rate
-  bool ecn = false;                   // wrap the bottleneck in EcnMarkingQueue
-  uint64_t ecn_threshold_bytes = 30'000;
-  bool cross_traffic = false;         // NewReno competitor + mid-run UDP blast
-};
-
-// The golden trio (clean / lossy / red) as multi-flow fairness scenarios.
-std::vector<GateScenario> GoldenGateSuite();
-
-// The scenario-universe gate (astraea_promote --suite=universe): a
-// shallow-buffer ECN incast-style bottleneck, the bundled cellular trace
-// replay, and a contested link with a NewReno competitor plus a mid-run
-// unresponsive blast. `traces_dir` locates the bundled Mahimahi captures.
-std::vector<GateScenario> UniverseGateSuite(const std::string& traces_dir);
-
-struct ScenarioScore {
-  double utilization = 0.0;   // aggregate goodput / link rate over the window
-  double jain = 1.0;          // mean Jain over 1s slots in the scoring window
-  double p95_delay_ms = 0.0;  // p95 of all flows' per-MTP RTT samples
-  double loss_rate = 0.0;     // bytes lost / bytes sent
-  // utilization + jain - latency/loss penalties; the scalar the verdict
-  // compares. See ScoreComposite() in promotion.cc for the exact formula.
-  double composite = 0.0;
-};
 
 struct GateScenarioResult {
   std::string name;
@@ -83,25 +43,22 @@ struct GateOptions {
   // Accept requires candidate_total > incumbent_total AND no single scenario
   // regressing by more than max_scenario_regression (composite points).
   double max_scenario_regression = 0.10;
-  std::vector<GateScenario> suite;  // empty: GoldenGateSuite()
+  std::vector<ScoringScenario> suite;  // empty: GoldenGateSuite()
 };
 
 class PromotionGate {
  public:
   explicit PromotionGate(GateOptions options = {});
 
-  // Scores one policy on one scenario (deterministic: fixed seeds).
-  ScenarioScore Evaluate(const GateScenario& scenario,
-                         std::shared_ptr<const Policy> policy) const;
-
   // Full gate run; bumps train.promote.{accepted,rejected}_total.
   GateReport Compare(std::shared_ptr<const Policy> candidate,
                      std::shared_ptr<const Policy> incumbent) const;
 
-  // File-level wrapper: the candidate must parse as a trained Mlp checkpoint
-  // (a candidate that silently fell back to the distilled policy could
-  // "beat" a real incumbent without containing a network — exactly the
-  // ROADMAP 1d failure mode). Throws SerializationError if it does not.
+  // File-level wrapper: the candidate must parse as a trained Mlp checkpoint.
+  // A candidate that silently fell back to the distilled policy could "beat"
+  // a real incumbent without containing a network; that happened once, when
+  // the committed checkpoint stopped loading and every consumer fell back
+  // without saying so. Throws SerializationError if it does not parse.
   // A missing/unreadable incumbent is scored as the distilled fallback, so
   // first-ever promotions have a meaningful bar to clear.
   GateReport CompareFiles(const std::string& candidate_path,
@@ -113,10 +70,11 @@ class PromotionGate {
   GateOptions options_;
 };
 
-// Installs `candidate_path`'s bytes at `install_path` with the durability
-// protocol of src/util/checkpoint.h (tmp + fsync + rename + dir fsync), so a
-// serving process hot-reloading on SIGHUP can never observe a torn artifact.
-// Throws SerializationError on any I/O failure.
+// Installs `candidate_path`'s bytes at `install_path` through
+// WriteFileDurably() (src/util/checkpoint.h: tmp + fsync + rename + dir
+// fsync, with the ckpt.commit.* failpoints), so a serving process
+// hot-reloading on SIGHUP can never observe a torn artifact. Throws
+// SerializationError on any I/O failure.
 void AtomicInstall(const std::string& candidate_path, const std::string& install_path);
 
 }  // namespace astraea

@@ -4,10 +4,10 @@
 #include <chrono>
 #include <sstream>
 
+#include "src/train/scoring.h"
 #include "src/util/checkpoint.h"
 #include "src/util/failpoint.h"
 #include "src/util/logging.h"
-#include "src/util/stats.h"
 #include "src/util/thread_pool.h"
 
 namespace astraea {
@@ -204,42 +204,13 @@ void VectorizedTrainer::DrainStaged() {
   counted_stalls_ = replay_->interleave_stalls();
 }
 
-double VectorizedTrainer::EvaluateFairness() {
-  EnvEpisodeConfig config;
-  config.bandwidth = Mbps(100);
-  config.base_rtt = Milliseconds(40);
-  config.buffer_bdp = 1.0;
-  config.episode_length = Seconds(24.0);
-  config.seed = 42;
-  for (int i = 0; i < 3; ++i) {
-    FlowSchedule f;
-    f.start = Seconds(4.0 * i);
-    f.duration = -1;
-    config.flows.push_back(f);
-  }
-  // Deterministic policy snapshot, throwaway staging, and a stream keyed by
-  // the episode index: evaluation is repeatable and invisible to training.
-  Mlp eval_actor(trainer_->actor());
-  auto policy = std::make_shared<SnapshotActorPolicy>(&eval_actor);
-  Rng eval_rng(Rng::DeriveSeed(kTrainEvalSeedStream, static_cast<uint64_t>(episodes_done_)));
-  std::vector<Transition> scratch;
-  MultiFlowEnv env(config, config_.hp, policy, &scratch, /*noise_std=*/0.0, &eval_rng);
-  env.Run();
-
-  std::vector<double> rates;
-  const Network& net = env.network();
-  double jain_sum = 0.0;
-  int slots = 0;
-  for (TimeNs t = Seconds(9.0); t + Seconds(1.0) <= config.episode_length; t += Seconds(1.0)) {
-    rates.clear();
-    for (size_t i = 0; i < net.flow_count(); ++i) {
-      rates.push_back(
-          net.flow_stats(static_cast<int>(i)).throughput_mbps.MeanOver(t, t + Seconds(1.0)));
-    }
-    jain_sum += JainIndex(rates);
-    ++slots;
-  }
-  return slots > 0 ? jain_sum / slots : 0.0;
+double VectorizedTrainer::EvaluateFairness() const {
+  // A copy of the actor keeps the live network's lazily built inference
+  // cache untouched; scoring reads no training stream.
+  const Mlp eval_actor(trainer_->actor());
+  return ScoreScenario(TrainerEvalScenario(), std::make_shared<SnapshotActorPolicy>(&eval_actor),
+                       config_.hp)
+      .jain;
 }
 
 void VectorizedTrainer::SerializeState(BinaryWriter* w) const {

@@ -33,12 +33,9 @@
 
 namespace astraea {
 
-// Seed streams (Rng::DeriveSeed) for the training subsystem. Actor i's
-// persistent stream is DeriveSeed(DeriveSeed(kTrainActorSeedStream, seed), i);
-// evaluation episodes use kTrainEvalSeedStream keyed by the episode index so
-// they never perturb a training stream.
+// Seed stream (Rng::DeriveSeed) for the training subsystem: actor i's
+// persistent stream is DeriveSeed(DeriveSeed(kTrainActorSeedStream, seed), i).
 inline constexpr uint64_t kTrainActorSeedStream = 0xA57AEA04;
-inline constexpr uint64_t kTrainEvalSeedStream = 0xA57AEA05;
 
 struct VectorizedTrainerConfig {
   AstraeaHyperparameters hp;
@@ -72,11 +69,10 @@ class VectorizedTrainer {
   // across actors.
   void Train(int episodes, const std::function<void(const EpisodeDiagnostics&)>& on_episode);
 
-  // Deterministic evaluation: 3 staggered flows on a 100 Mbps / 40 ms link,
-  // scored by the average Jain index over the competition window. Runs on a
-  // stream derived from the episode index — running it never perturbs
-  // training streams, so diagnostics cadence cannot change training results.
-  double EvaluateFairness();
+  // Deterministic evaluation: the `jain` of TrainerEvalScenario()
+  // (scoring.h) under a copy of the current actor. It draws from no stream,
+  // so diagnostics cadence cannot change training results.
+  double EvaluateFairness() const;
 
   Td3Trainer& trainer() { return *trainer_; }
   const ShardedReplayBuffer& replay() const { return *replay_; }

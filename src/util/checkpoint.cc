@@ -118,21 +118,8 @@ uint32_t ReadSchemaHeader(BinaryReader* reader, uint32_t magic, uint32_t min_ver
   return version;
 }
 
-CheckpointWriter::CheckpointWriter(std::string path)
-    : path_(std::move(path)), writer_(&buf_) {}
-
-void CheckpointWriter::Commit() {
-  if (committed_) {
-    throw SerializationError("checkpoint already committed: " + path_);
-  }
-  std::string blob = buf_.str();
-  const uint64_t payload_size = blob.size();
-  const uint32_t crc = Crc32(blob.data(), blob.size());
-  PutU64(&blob, payload_size);
-  PutU32(&blob, crc);
-  PutU32(&blob, kCheckpointFooterMagic);
-
-  const std::string tmp = path_ + ".tmp";
+void WriteFileDurably(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
   ASTRAEA_FAILPOINT("ckpt.commit.begin");
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -140,10 +127,10 @@ void CheckpointWriter::Commit() {
   }
   // Two half-writes with a failpoint between them let tests inject a torn
   // write — the on-disk state a real crash mid-write(2) would leave behind.
-  const size_t half = blob.size() / 2;
-  WriteAllOrThrow(fd, blob.data(), half, tmp);
+  const size_t half = bytes.size() / 2;
+  WriteAllOrThrow(fd, bytes.data(), half, tmp);
   ASTRAEA_FAILPOINT("ckpt.commit.torn_write");
-  WriteAllOrThrow(fd, blob.data() + half, blob.size() - half, tmp);
+  WriteAllOrThrow(fd, bytes.data() + half, bytes.size() - half, tmp);
   ASTRAEA_FAILPOINT("ckpt.commit.before_fsync");
   if (::fsync(fd) != 0) {
     const int saved = errno;
@@ -155,13 +142,13 @@ void CheckpointWriter::Commit() {
     throw SerializationError(Errno("close of checkpoint tmp file " + tmp + " failed"));
   }
   ASTRAEA_FAILPOINT("ckpt.commit.before_rename");
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw SerializationError(Errno("rename " + tmp + " -> " + path_ + " failed"));
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw SerializationError(Errno("rename " + tmp + " -> " + path + " failed"));
   }
   ASTRAEA_FAILPOINT("ckpt.commit.before_dirsync");
   // Make the directory entry durable too; without this the rename itself can
   // be lost on power failure even though both files' contents were synced.
-  std::string dir = path_;
+  std::string dir = path;
   const size_t slash = dir.find_last_of('/');
   dir = slash == std::string::npos ? "." : dir.substr(0, slash + 1);
   const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
@@ -175,6 +162,22 @@ void CheckpointWriter::Commit() {
     throw SerializationError(Errno("fsync of checkpoint directory " + dir + " failed"));
   }
   ::close(dirfd);
+}
+
+CheckpointWriter::CheckpointWriter(std::string path)
+    : path_(std::move(path)), writer_(&buf_) {}
+
+void CheckpointWriter::Commit() {
+  if (committed_) {
+    throw SerializationError("checkpoint already committed: " + path_);
+  }
+  std::string blob = buf_.str();
+  const uint64_t payload_size = blob.size();
+  const uint32_t crc = Crc32(blob.data(), blob.size());
+  PutU64(&blob, payload_size);
+  PutU32(&blob, crc);
+  PutU32(&blob, kCheckpointFooterMagic);
+  WriteFileDurably(path_, blob);
   committed_ = true;
 }
 

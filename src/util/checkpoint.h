@@ -5,8 +5,9 @@
 // (16 bytes, little-endian). The payload is an ordinary BinaryWriter stream;
 // the container does not interpret it.
 //
-// Durability protocol (CheckpointWriter::Commit):
-//   1. write payload+footer to "<path>.tmp"
+// Durability protocol (WriteFileDurably, which CheckpointWriter::Commit and
+// the promotion gate's AtomicInstall both write through):
+//   1. write the bytes to "<path>.tmp"
 //   2. fsync the tmp file
 //   3. rename(tmp, path)        — atomic on POSIX
 //   4. fsync the parent directory
@@ -65,6 +66,11 @@ inline constexpr size_t kCheckpointFooterSize = 16;
 // so the container format can be fuzzed (fuzz/fuzz_checkpoint.cc).
 std::string VerifyCheckpointBlob(std::string blob, const std::string& name);
 
+// Replaces `path` with `bytes` through the durability protocol above. Throws
+// SerializationError on any I/O failure, leaving the previous file at `path`
+// (if any) untouched until the rename.
+void WriteFileDurably(const std::string& path, const std::string& bytes);
+
 class CheckpointWriter {
  public:
   explicit CheckpointWriter(std::string path);
@@ -72,9 +78,9 @@ class CheckpointWriter {
   // Payload sink; buffered in memory until Commit().
   BinaryWriter* payload() { return &writer_; }
 
-  // Runs the durability protocol above. Throws SerializationError on any I/O
-  // failure (the previous checkpoint at `path`, if any, is left untouched).
-  // Must be called at most once.
+  // Appends the footer and writes the file with WriteFileDurably(). Throws
+  // SerializationError on any I/O failure (the previous checkpoint at `path`,
+  // if any, is left untouched). Must be called at most once.
   void Commit();
 
  private:

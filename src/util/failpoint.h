@@ -23,6 +23,8 @@
 //            deadlines hold when the process is merely slow.
 //
 // Named sites in this codebase (grep ASTRAEA_FAILPOINT for ground truth):
+//   ckpt.commit.*              WriteFileDurably (checkpoint commits and
+//                              the promotion gate's AtomicInstall):
 //   ckpt.commit.begin          before the checkpoint tmp file is created
 //   ckpt.commit.torn_write     after half the payload bytes hit the tmp file
 //   ckpt.commit.before_fsync   payload fully written, not yet durable

@@ -96,7 +96,9 @@ TEST(MultiFlowEnvTest, RewardReflectsLinkUtilization) {
   // range; utilization comes from slow start + random actor behaviour.
   MultiFlowEnv env(config, hp, std::make_shared<SnapshotActorPolicy>(&trainer.actor()), &buffer,
                    0.0, &rng);
-  const EpisodeStats stats = env.Run();
+  while (env.AdvanceOneInterval()) {
+  }
+  const EpisodeStats stats = env.Finish();
   EXPECT_GT(stats.mean_r_thr, 0.2);
 }
 

@@ -161,8 +161,8 @@ TEST(MlpPolicyTest, RunsACheckpointRoundTrip) {
 
 TEST(MlpPolicyTest, ShippedTrainedArtifactLoads) {
   // models/astraea_policy_trained.ckpt is the checked-in trained actor. It
-  // must parse as a real network — historically it was corrupt and every
-  // consumer silently fell back to the distilled policy (ROADMAP 1d), which
+  // must parse as a real network — historically it failed dims validation
+  // and every consumer silently fell back to the distilled policy, which
   // made "trained" benches measure the wrong controller.
   const std::string path =
       std::string(ASTRAEA_SOURCE_DIR) + "/models/astraea_policy_trained.ckpt";

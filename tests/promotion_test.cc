@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/train/promotion.h"
+#include "src/util/failpoint.h"
 
 namespace astraea {
 namespace {
@@ -18,15 +19,16 @@ class CrippledPolicy : public Policy {
   std::string name() const override { return "crippled"; }
 };
 
-// One short, small scenario keeps each Evaluate() to a fraction of a second.
+// One short, small scenario keeps each scoring run to a fraction of a second.
 GateOptions QuickGate() {
   GateOptions options;
-  GateScenario scenario;
+  ScoringScenario scenario;
   scenario.name = "quick";
   scenario.bandwidth = Mbps(24);
   scenario.base_rtt = Milliseconds(30);
-  scenario.flows = 2;
+  scenario.flows = StaggeredFlows(2, Seconds(1.0));
   scenario.until = Seconds(4.0);
+  scenario.score_from = Seconds(2.0);
   options.suite = {scenario};
   return options;
 }
@@ -50,7 +52,7 @@ TEST(PromotionGateTest, AcceptsABetterCandidate) {
 }
 
 TEST(PromotionGateTest, TieKeepsTheIncumbent) {
-  // Identical policies score identically (Evaluate is deterministic); a tie
+  // Identical policies score identically (scoring is deterministic); a tie
   // must not trigger a pointless install.
   PromotionGate gate(QuickGate());
   const auto policy = std::make_shared<DistilledPolicy>();
@@ -61,12 +63,12 @@ TEST(PromotionGateTest, TieKeepsTheIncumbent) {
   EXPECT_DOUBLE_EQ(report.candidate_total, report.incumbent_total);
 }
 
-TEST(PromotionGateTest, EvaluateIsDeterministic) {
-  PromotionGate gate(QuickGate());
+TEST(PromotionGateTest, ScoringIsDeterministic) {
+  const GateOptions options = QuickGate();
   const auto policy = std::make_shared<DistilledPolicy>();
-  const ScenarioScore a = gate.Evaluate(gate.options().suite[0], policy);
-  const ScenarioScore b = gate.Evaluate(gate.options().suite[0], policy);
-  EXPECT_EQ(a.composite, b.composite);
+  const ScenarioScore a = ScoreScenario(options.suite[0], policy, options.hp);
+  const ScenarioScore b = ScoreScenario(options.suite[0], policy, options.hp);
+  EXPECT_EQ(a.jain, b.jain);
   EXPECT_EQ(a.utilization, b.utilization);
   EXPECT_EQ(a.p95_delay_ms, b.p95_delay_ms);
 }
@@ -81,7 +83,8 @@ TEST(PromotionGateTest, DefaultSuiteIsTheGoldenTrio) {
 
 TEST(PromotionGateTest, CompareFilesRejectsAnUnparsableCandidate) {
   // A candidate that cannot load as a trained network must error out, not
-  // silently fall back to the distilled policy and "win" (ROADMAP 1d).
+  // silently fall back to the distilled policy and "win" without containing
+  // a network.
   const std::string garbage = "/tmp/astraea_promotion_garbage.ckpt";
   {
     std::ofstream out(garbage, std::ios::binary);
@@ -102,27 +105,33 @@ TEST(PromotionGateTest, ReportSerializesToJson) {
   EXPECT_NE(json.find("\"utilization\""), std::string::npos);
 }
 
+const std::string kTracesDir = std::string(ASTRAEA_SOURCE_DIR) + "/traces";
+
 // The universe suite (astraea_promote --suite=universe), trimmed to a
 // test-sized horizon. Scenario shapes — ECN bottleneck, trace replay, cross
-// traffic — are exactly the shipped suite's; only `until` shrinks.
+// traffic — are exactly the shipped suite's; only the run shrinks, still
+// scored over its second half.
 GateOptions UniverseGate() {
   GateOptions options;
-  options.suite = UniverseGateSuite(std::string(ASTRAEA_SOURCE_DIR) + "/traces");
-  for (GateScenario& scenario : options.suite) {
+  options.suite = UniverseGateSuite(kTracesDir);
+  for (ScoringScenario& scenario : options.suite) {
     scenario.until = Seconds(3.0);
+    scenario.score_from = Seconds(1.5);
   }
   return options;
 }
 
 TEST(UniverseGateTest, SuiteCoversTheThreeRegimes) {
-  const auto suite = UniverseGateSuite("/does/not/matter");
+  const auto suite = UniverseGateSuite(kTracesDir);
   ASSERT_EQ(suite.size(), 3u);
   EXPECT_EQ(suite[0].name, "shallow-ecn");
-  EXPECT_TRUE(suite[0].ecn);
+  EXPECT_EQ(suite[0].qdisc, Qdisc::kEcn);
   EXPECT_EQ(suite[1].name, "cellular");
-  EXPECT_EQ(suite[1].trace_path, "/does/not/matter/cellular.trace");
+  EXPECT_NE(suite[1].trace, nullptr);
   EXPECT_EQ(suite[2].name, "contested");
-  EXPECT_TRUE(suite[2].cross_traffic);
+  EXPECT_EQ(suite[2].cross, CrossTraffic::kNewRenoAndBlast);
+  // The cellular capture is read from `traces_dir`.
+  EXPECT_THROW(UniverseGateSuite("/does/not/matter"), SerializationError);
 }
 
 TEST(UniverseGateTest, AcceptsBetterRejectsWorse) {
@@ -146,14 +155,14 @@ TEST(UniverseGateTest, CrossTrafficShapesButDoesNotPolluteScores) {
   // The contested scenario's competitor + blast must depress the Astraea
   // flows' utilization relative to the same link without cross traffic —
   // proof the cross traffic is real and the scoring window is Astraea-only.
-  PromotionGate gate(UniverseGate());
-  GateScenario contested = gate.options().suite[2];
-  ASSERT_TRUE(contested.cross_traffic);
-  GateScenario uncontested = contested;
-  uncontested.cross_traffic = false;
+  const GateOptions options = UniverseGate();
+  const ScoringScenario& contested = options.suite[2];
+  ASSERT_EQ(contested.cross, CrossTraffic::kNewRenoAndBlast);
+  ScoringScenario uncontested = contested;
+  uncontested.cross = CrossTraffic::kNone;
   const auto policy = std::make_shared<DistilledPolicy>();
-  const ScenarioScore with = gate.Evaluate(contested, policy);
-  const ScenarioScore without = gate.Evaluate(uncontested, policy);
+  const ScenarioScore with = ScoreScenario(contested, policy, options.hp);
+  const ScenarioScore without = ScoreScenario(uncontested, policy, options.hp);
   EXPECT_LT(with.utilization, without.utilization);
 }
 
@@ -189,6 +198,31 @@ TEST(AtomicInstallTest, MissingCandidateThrowsAndLeavesTargetIntact) {
   std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   EXPECT_EQ(bytes, "incumbent");
   std::filesystem::remove(target);
+}
+
+TEST(AtomicInstallTest, CrashBeforeRenameKeepsTheIncumbent) {
+  // The install goes through the checkpoint container's durable write, so
+  // its failpoints apply: dying with the new bytes written and synced but
+  // not yet renamed must leave the incumbent in place.
+  const std::string candidate = "/tmp/astraea_install_fp_candidate.bin";
+  const std::string target = "/tmp/astraea_install_fp_target.bin";
+  {
+    std::ofstream out(candidate, std::ios::binary);
+    out << "new-policy-bytes";
+  }
+  {
+    std::ofstream out(target, std::ios::binary);
+    out << "incumbent";
+  }
+  failpoint::Configure("ckpt.commit.before_rename=1:throw");
+  EXPECT_THROW(AtomicInstall(candidate, target), failpoint::Injected);
+  failpoint::Clear();
+  std::ifstream in(target, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, "incumbent");
+  std::filesystem::remove(candidate);
+  std::filesystem::remove(target);
+  std::filesystem::remove(target + ".tmp");
 }
 
 }  // namespace

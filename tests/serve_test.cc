@@ -661,13 +661,21 @@ TEST(ServeTest, ServeMetricsPreRegisteredAtConstruction) {
   config.model_path = model_path;
   InferenceServer server(std::move(config));  // construction alone registers
 
+  // All 22 serve.* names, both sides of the boundary, the ones perfbench
+  // (serve.batch_size, serve.service_latency_seconds, serve.shed_total) and
+  // CI (serve.client.requests_total, serve.fallback_total) read included.
   const std::string json = MetricsRegistry::Global().ToJson();
   for (const char* name :
-       {"serve.requests_total", "serve.shed_total", "serve.drain_rounds",
-        "serve.est_batch_latency_seconds", "serve.supervisor.restarts_total",
-        "serve.client.requests_total", "serve.client.rejected_total",
-        "serve.client.reconnects_total", "serve.fallback_total"}) {
-    EXPECT_NE(json.find(name), std::string::npos) << "missing pre-registered metric: " << name;
+       {"serve.requests_total", "serve.batches_total", "serve.bad_requests_total",
+        "serve.responses_dropped_total", "serve.reloads_total", "serve.reload_errors_total",
+        "serve.shed_total", "serve.drain_rounds", "serve.clients", "serve.queue_depth",
+        "serve.est_batch_latency_seconds", "serve.batch_size", "serve.service_latency_seconds",
+        "serve.client.requests_total", "serve.client.timeouts_total",
+        "serve.client.corrupt_total", "serve.client.rejected_total",
+        "serve.client.outstanding", "serve.client.latency_seconds", "serve.fallback_total",
+        "serve.client.reconnects_total", "serve.supervisor.restarts_total"}) {
+    EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
+        << "missing pre-registered metric: " << name;
   }
   std::remove(model_path.c_str());
 }

@@ -100,8 +100,8 @@ TEST(VectorizedTrainerTest, LoadRejectsMismatchedActorCount) {
 
 TEST(VectorizedTrainerTest, EvaluationNeverPerturbsTraining) {
   // Interleaving evals between episodes must not move the training state:
-  // eval draws come from a stream keyed by kTrainEvalSeedStream + episode
-  // index, never from an actor or learner stream.
+  // evaluation scores a copy of the actor and draws from no actor or
+  // learner stream.
   VectorizedTrainer quiet(FastConfig());
   quiet.Train(2, [](const EpisodeDiagnostics&) {});
 
@@ -132,16 +132,13 @@ TEST(VectorizedTrainerTest, ActorSeedStreamsAreDecorrelated) {
   const double db = rb.Uniform(0.0, 1.0);
   EXPECT_NE(d0, d1);
   EXPECT_NE(d0, db);
-  // The eval stream family is disjoint from the actor family.
-  EXPECT_NE(Rng::DeriveSeed(kTrainActorSeedStream, 21),
-            Rng::DeriveSeed(kTrainEvalSeedStream, 21));
 }
 
 TEST(VectorizedTrainerTest, SavedCheckpointLoadsAsMlpPolicy) {
   // The full production pipeline: the trainer's deployment artifact must
-  // come back through MlpPolicy::LoadFromFile with the real state dims — the
-  // ROADMAP-1d regression where every consumer silently fell back to the
-  // distilled policy because the written checkpoint failed dims validation.
+  // come back through MlpPolicy::LoadFromFile with the real state dims. A
+  // written checkpoint once failed dims validation, and every consumer
+  // silently fell back to the distilled policy.
   const std::string path = "/tmp/astraea_vec_actor_roundtrip.ckpt";
   VectorizedTrainerConfig config = FastConfig();
   VectorizedTrainer trainer(config);

@@ -8,28 +8,21 @@
 //                                         # score decisions served by
 //                                         # astraea_serve over shm IPC
 //
-// Scenarios: single-flow utilization, 3-flow fairness/convergence,
-// RTT-heterogeneous fairness, CUBIC coexistence, cellular trace, satellite.
+// Scenarios and checks are the scorecard table in src/train/scoring.cc:
+// single-flow utilization, 3-flow fairness/convergence, RTT-heterogeneous
+// fairness, CUBIC coexistence, cellular trace, satellite.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "bench/harness/cli_scenario.h"
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
 #include "bench/harness/table.h"
+#include "src/train/scoring.h"
 #include "src/util/cli_flags.h"
 
 namespace astraea {
 namespace {
-
-struct Score {
-  std::string name;
-  std::string value;
-  std::string target;
-  bool pass;
-};
 
 int Main(int argc, char** argv) {
   PolicyCliOptions policy_opts;
@@ -56,110 +49,19 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  SchemeOptions options;
-  options.astraea_policy = MakeCliPolicy(policy_opts);
-  std::printf("policy under evaluation: %s\n\n", options.astraea_policy->name().c_str());
+  const std::shared_ptr<const Policy> policy = MakeCliPolicy(policy_opts);
+  std::printf("policy under evaluation: %s\n\n", policy->name().c_str());
 
-  std::vector<Score> scores;
-  auto add = [&scores](const std::string& name, double value, double floor, bool higher_is_better,
-                       const char* fmt = "%.3f") {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), fmt, value);
-    char tgt[64];
-    std::snprintf(tgt, sizeof(tgt), higher_is_better ? ">= %.2f" : "<= %.2f", floor);
-    scores.push_back({name, buf, tgt, higher_is_better ? value >= floor : value <= floor});
-  };
-
-  {  // 1. Single flow: utilization + latency on 100 Mbps / 30 ms / 1 BDP.
-    DumbbellConfig config;
-    DumbbellScenario scenario(config);
-    scenario.scheme_options() = options;
-    scenario.AddFlow("astraea", 0);
-    scenario.Run(Seconds(20.0));
-    add("single-flow utilization", LinkUtilization(scenario.network(), 0, Seconds(5.0), Seconds(20.0)),
-        0.9, true);
-    add("single-flow RTT inflation (x base)",
-        MeanRttMs(scenario.network(), Seconds(5.0), Seconds(20.0)) / 30.0, 1.5, false);
-  }
-  {  // 2. Three staggered flows: fairness + convergence of the last arrival.
-    DumbbellConfig config;
-    DumbbellScenario scenario(config);
-    scenario.scheme_options() = options;
-    for (int i = 0; i < 3; ++i) {
-      scenario.AddFlow("astraea", Seconds(10.0 * i));
-    }
-    scenario.Run(Seconds(45.0));
-    add("3-flow avg Jain", AverageJain(scenario.network(), Seconds(20.0), Seconds(45.0), Milliseconds(500)),
-        0.95, true);
-    const ConvergenceMeasurement m = MeasureConvergence(
-        scenario.network(), 2, Seconds(20.0), 100.0 / 3.0, 0.10, Seconds(1.0), Seconds(45.0));
-    add("3-flow convergence time (s)",
-        m.convergence_time < 0 ? 99.0 : ToSeconds(m.convergence_time), 5.0, false, "%.2f");
-    add("3-flow stability (Mbps)", m.stability_mbps, 3.0, false, "%.2f");
-  }
-  {  // 3. RTT heterogeneity: 30 ms vs 150 ms flows.
-    DumbbellConfig config;
-    config.buffer_bdp = 0.5;
-    DumbbellScenario scenario(config);
-    scenario.scheme_options() = options;
-    scenario.AddFlow("astraea", 0, -1, 0);
-    scenario.AddFlow("astraea", 0, -1, Milliseconds(120));
-    scenario.Run(Seconds(40.0));
-    add("RTT-heterogeneous Jain",
-        JainIndex(FlowMeanThroughputs(scenario.network(), Seconds(20.0), Seconds(40.0))), 0.85,
-        true);
-  }
-  {  // 4. Coexistence with CUBIC.
-    DumbbellConfig config;
-    DumbbellScenario scenario(config);
-    scenario.scheme_options() = options;
-    scenario.AddFlow("astraea", 0);
-    scenario.AddFlow("cubic", 0);
-    scenario.Run(Seconds(40.0));
-    const auto thr = FlowMeanThroughputs(scenario.network(), Seconds(10.0), Seconds(40.0));
-    add("vs-CUBIC throughput ratio", thr[0] / std::max(thr[1], 0.1), 0.1, true, "%.2f");
-  }
-  {  // 5. Cellular trace tracking.
-    Rng rng(5);
-    DumbbellConfig config;
-    config.base_rtt = Milliseconds(40);
-    config.buffer_bdp = 20.0;
-    config.trace = std::make_shared<RateTrace>(
-        MakeLteLikeTrace(Seconds(30.0), Milliseconds(20), Mbps(1), Mbps(60), &rng));
-    DumbbellScenario scenario(config);
-    scenario.scheme_options() = options;
-    scenario.AddFlow("astraea", 0);
-    scenario.Run(Seconds(30.0));
-    add("cellular utilization", LinkUtilization(scenario.network(), 0, Seconds(2.0), Seconds(30.0)),
-        0.6, true);
-    // Tail-delay spikes during deep capacity plunges are partly physical on a
-    // 20xBDP buffer; what matters is staying far below the buffer-filling
-    // schemes (25-30x on this workload).
-    add("cellular p95 RTT (x base)", P95RttMs(scenario.network(), Seconds(2.0), Seconds(30.0)) / 40.0,
-        8.0, false, "%.2f");
-  }
-  {  // 6. Satellite.
-    DumbbellConfig config;
-    config.bandwidth = Mbps(42);
-    config.base_rtt = Milliseconds(800);
-    config.random_loss = 0.0074;
-    DumbbellScenario scenario(config);
-    scenario.scheme_options() = options;
-    scenario.AddFlow("astraea", 0);
-    scenario.Run(Seconds(60.0));
-    add("satellite utilization", LinkUtilization(scenario.network(), 0, Seconds(15.0), Seconds(60.0)),
-        0.6, true);
-  }
-
+  const std::vector<CheckResult> results = RunScorecard(policy, AstraeaHyperparameters{});
   ConsoleTable table({"check", "value", "target", "verdict"});
   int passed = 0;
-  for (const Score& s : scores) {
-    table.AddRow({s.name, s.value, s.target, s.pass ? "PASS" : "FAIL"});
-    passed += s.pass ? 1 : 0;
+  for (const CheckResult& r : results) {
+    table.AddRow({r.name, r.value, r.target, r.pass ? "PASS" : "FAIL"});
+    passed += r.pass ? 1 : 0;
   }
   table.Print();
-  std::printf("\n%d / %zu checks passed\n", passed, scores.size());
-  return passed == static_cast<int>(scores.size()) ? 0 : 1;
+  std::printf("\n%d / %zu checks passed\n", passed, results.size());
+  return passed == static_cast<int>(results.size()) ? 0 : 1;
 }
 
 }  // namespace

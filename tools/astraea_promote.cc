@@ -5,7 +5,8 @@
 //                   [--suite=golden|universe] [--traces DIR]
 //
 // Scores the candidate against the incumbent on the golden scenario suite
-// (utilization, Jain fairness, p95 delay, loss — see src/train/promotion.h).
+// (utilization, Jain fairness, p95 delay, loss — see src/train/promotion.h;
+// the scenario rows live in src/train/scoring.cc).
 // --suite=universe swaps in the scenario-universe gate (shallow-buffer ECN,
 // cellular trace replay, contested link; UniverseGateSuite) for candidates
 // that must also hold up outside the paper's dumbbells.
@@ -70,18 +71,18 @@ int Main(int argc, char** argv) {
                  " [--install] [--json PATH] [--suite=golden|universe] [--traces DIR]\n");
     return 1;
   }
-  GateOptions gate_options;
-  if (suite == "universe") {
-    gate_options.suite = UniverseGateSuite(traces);
-  } else if (suite != "golden") {
+  if (suite != "golden" && suite != "universe") {
     std::fprintf(stderr, "unknown suite '%s' (golden or universe)\n", suite.c_str());
     return 1;
   }
 
-  PromotionGate gate(std::move(gate_options));
   GateReport report;
   try {
-    report = gate.CompareFiles(candidate, incumbent);
+    GateOptions gate_options;
+    if (suite == "universe") {
+      gate_options.suite = UniverseGateSuite(traces);
+    }
+    report = PromotionGate(std::move(gate_options)).CompareFiles(candidate, incumbent);
   } catch (const SerializationError& e) {
     std::fprintf(stderr, "promotion gate error: %s\n", e.what());
     return 1;

@@ -46,10 +46,20 @@
 namespace astraea {
 namespace {
 
-// Canonical scenario set: small (sub-second-scale, single-digit Mbps) so the
-// whole golden corpus stays under ~2 MB, but covering the qualitatively
+// The paper's comparison set (schemes.h) minus orca, whose reproduction is
+// still tracked in ROADMAP.md, plus `astraea_mlp`: the Astraea controller on
+// the committed trained checkpoint instead of the distilled policy.
+constexpr const char* kSchemes[] = {"newreno", "cubic", "vegas", "bbr",     "copa",
+                                    "vivace",  "aurora", "remy", "astraea", "astraea_mlp"};
+constexpr const char* kMlpScheme = "astraea_mlp";
+
+// Canonical scenario set: small (single-digit Mbps, a few seconds at most) so
+// the whole golden corpus stays near 3.5 MB, but covering the qualitatively
 // distinct regimes: a clean dumbbell, heavy iid wire loss and a two-flow RED
-// bottleneck (AQM + flow interaction).
+// bottleneck (AQM + flow interaction). On the sub-second runs the trained
+// checkpoint's decisions sit at -1, so `long2` runs it alone for 3 s with a
+// second arrival, where most of its actions fall inside (-1, 1) and the
+// golden pins the MLP kernels' arithmetic, not only the tanh saturation.
 struct GoldenScenario {
   const char* name;
   double bw_mbps;
@@ -60,20 +70,15 @@ struct GoldenScenario {
   int flows;
   double second_flow_start_s;  // ignored when flows == 1
   double until_s;
+  const char* only_scheme = nullptr;  // nullptr: every scheme in kSchemes
 };
 
 constexpr GoldenScenario kScenarios[] = {
     {"clean", 2.0, 20.0, 1.0, 0.0, "droptail", 1, 0.0, 0.8},
     {"lossy", 2.0, 20.0, 1.0, 0.02, "droptail", 1, 0.0, 0.8},
     {"red2", 2.0, 30.0, 2.0, 0.0, "red", 2, 0.3, 0.8},
+    {"long2", 2.0, 40.0, 1.0, 0.0, "droptail", 2, 0.5, 3.0, kMlpScheme},
 };
-
-// The paper's comparison set (schemes.h) minus orca, whose reproduction is
-// still tracked in ROADMAP.md, plus `astraea_mlp`: the Astraea controller on
-// the committed trained checkpoint instead of the distilled policy.
-constexpr const char* kSchemes[] = {"newreno", "cubic", "vegas", "bbr",     "copa",
-                                    "vivace",  "aurora", "remy", "astraea", "astraea_mlp"};
-constexpr const char* kMlpScheme = "astraea_mlp";
 
 std::shared_ptr<const Policy> TrainedPolicy() {
   const std::string path = std::string(ASTRAEA_SOURCE_DIR) + "/models/astraea_policy_trained.ckpt";
@@ -358,7 +363,8 @@ int Main(int argc, char** argv) {
       continue;
     }
     for (const char* scheme : kSchemes) {
-      if (!args.scheme.empty() && args.scheme != scheme) {
+      if ((!args.scheme.empty() && args.scheme != scheme) ||
+          (sc.only_scheme != nullptr && std::strcmp(sc.only_scheme, scheme) != 0)) {
         continue;
       }
       ++ran;
