@@ -9,10 +9,10 @@
 
 #include <cstdio>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/table.h"
 #include "src/core/astraea_controller.h"
+#include "src/eval/scenario.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 
 namespace astraea {
 namespace {

@@ -6,31 +6,12 @@
 
 #include <cstdio>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/table.h"
-#include "src/sim/queue_disc.h"
+#include "src/eval/scenario.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 
 namespace astraea {
 namespace {
-
-QueueFactory MakeAqm(const std::string& name, uint64_t capacity) {
-  if (name == "red") {
-    return [capacity](Rng rng) -> std::unique_ptr<QueueDiscipline> {
-      RedConfig config;
-      config.capacity_bytes = capacity;
-      return std::make_unique<RedQueue>(config, rng);
-    };
-  }
-  if (name == "codel") {
-    return [capacity](Rng) -> std::unique_ptr<QueueDiscipline> {
-      CoDelConfig config;
-      config.capacity_bytes = capacity;
-      return std::make_unique<CoDelQueue>(config);
-    };
-  }
-  return nullptr;  // DropTail default
-}
 
 int Main(int argc, char** argv) {
   PrintBenchHeader("AQM interaction",
@@ -38,7 +19,6 @@ int Main(int argc, char** argv) {
                    "(100 Mbps, 30 ms, 4xBDP buffer)");
   const bool quick = QuickMode(argc, argv);
   const TimeNs until = Seconds(quick ? 15.0 : 30.0);
-  const uint64_t capacity = 4 * BdpBytes(Mbps(100), Milliseconds(30));
 
   for (const char* metric : {"utilization", "mean RTT (ms)"}) {
     std::printf("\n[%s]\n", metric);
@@ -46,12 +26,13 @@ int Main(int argc, char** argv) {
     for (const char* scheme : {"cubic", "bbr", "vegas", "copa", "vivace", "aurora", "orca",
                                "astraea"}) {
       std::vector<std::string> row = {scheme};
-      for (const char* aqm : {"droptail", "red", "codel"}) {
+      for (const Qdisc aqm : {Qdisc::kDropTail, Qdisc::kRed, Qdisc::kCoDel}) {
         DumbbellConfig config;
         config.bandwidth = Mbps(100);
         config.base_rtt = Milliseconds(30);
         config.buffer_bdp = 4.0;
-        config.queue_factory = MakeAqm(aqm, capacity);
+        config.queue_factory = MakeQueueFactory(
+            aqm, BdpBufferBytes(config.bandwidth, config.base_rtt, config.buffer_bdp));
         DumbbellScenario scenario(config);
         scenario.AddFlow(scheme, 0);
         scenario.Run(until);

@@ -4,9 +4,9 @@
 
 #include <cstdio>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/table.h"
+#include "src/eval/scenario.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 
 namespace astraea {
 namespace {

@@ -8,9 +8,9 @@
 
 #include <cstdio>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/table.h"
 #include "src/core/schemes.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 
 namespace astraea {
 namespace {

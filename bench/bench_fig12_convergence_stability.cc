@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench/harness/experiments.h"
-#include "bench/harness/table.h"
+#include "src/eval/table.h"
 
 namespace astraea {
 namespace {

@@ -12,9 +12,9 @@
 #include <cstring>
 #include <string>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/table.h"
+#include "src/eval/scenario.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 
 #ifndef ASTRAEA_SOURCE_DIR
 #define ASTRAEA_SOURCE_DIR "."
@@ -57,6 +57,7 @@ int Main(int argc, char** argv) {
                 "vivace(Mbps)");
     auto run = [&](const std::string& scheme) {
       DumbbellConfig config;
+      config.bandwidth = trace->RateAt(0);  // sizes the buffer
       config.base_rtt = Milliseconds(40);
       config.buffer_bdp = 20.0;  // very deep buffer (paper setup)
       config.trace = trace;
@@ -89,6 +90,7 @@ int Main(int argc, char** argv) {
       config.base_rtt = Milliseconds(40);
       config.buffer_bdp = 20.0;
       config.trace = cell_trace(until, 200 + static_cast<uint64_t>(rep));
+      config.bandwidth = config.trace->RateAt(0);
       config.seed = 77 + static_cast<uint64_t>(rep);
       DumbbellScenario scenario(config);
       scenario.AddFlow(scheme, 0);

@@ -22,11 +22,11 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/table.h"
 #include "src/core/astraea_controller.h"
 #include "src/core/policy.h"
+#include "src/eval/scenario.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 #include "src/net/loopback.h"
 #include "src/util/stats.h"
 

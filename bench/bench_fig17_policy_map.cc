@@ -9,8 +9,8 @@
 
 #include <cstdio>
 
-#include "bench/harness/table.h"
 #include "src/core/policy.h"
+#include "src/eval/table.h"
 
 namespace astraea {
 namespace {

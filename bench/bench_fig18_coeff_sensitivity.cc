@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench/harness/table.h"
+#include "src/eval/table.h"
 #include "src/train/vectorized_trainer.h"
 
 namespace astraea {

@@ -9,9 +9,9 @@
 #include <cstring>
 #include <string>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/table.h"
+#include "src/eval/scenario.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 
 #ifndef ASTRAEA_SOURCE_DIR
 #define ASTRAEA_SOURCE_DIR "."
@@ -49,7 +49,7 @@ int Main(int argc, char** argv) {
     double loss = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
       DumbbellConfig config;
-      config.bandwidth = Mbps(42);
+      config.bandwidth = trace != nullptr ? trace->RateAt(0) : Mbps(42);
       config.base_rtt = Milliseconds(800);
       config.buffer_bdp = 1.0;
       config.random_loss = 0.0074;

@@ -4,8 +4,8 @@
 
 #include <cstdio>
 
-#include "bench/harness/table.h"
 #include "src/core/reward.h"
+#include "src/eval/table.h"
 #include "src/util/stats.h"
 
 namespace astraea {

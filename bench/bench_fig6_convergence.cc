@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "bench/harness/experiments.h"
-#include "bench/harness/table.h"
+#include "src/eval/table.h"
 #include "src/util/thread_pool.h"
 
 namespace astraea {

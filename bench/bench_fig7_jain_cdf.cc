@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench/harness/experiments.h"
-#include "bench/harness/table.h"
+#include "src/eval/table.h"
 
 namespace astraea {
 namespace {

@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "bench/harness/experiments.h"
-#include "bench/harness/table.h"
 #include "src/core/inference_service.h"
+#include "src/eval/table.h"
 #include "src/rl/replay_buffer.h"
 #include "src/rl/td3.h"
 #include "src/util/thread_pool.h"

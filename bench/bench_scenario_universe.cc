@@ -1,5 +1,5 @@
-// Scenario universe summary bench (ROADMAP item 4): runs the three workload
-// families from bench/harness/scenario_universe.h —
+// Scenario universe summary bench (DESIGN.md §15): runs the three workload
+// families from src/eval/scenario_universe.h —
 //
 //  1. Datacenter incast: fan-in sweep on a shallow-buffer 1 Gbps bottleneck,
 //     DCTCP behind an ECN marking queue vs cubic on plain DropTail.
@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario_universe.h"
-#include "bench/harness/table.h"
+#include "src/eval/scenario_universe.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 #include "src/sim/invariants.h"
 #include "src/util/thread_pool.h"
 

@@ -31,8 +31,8 @@
 #include <thread>
 #include <vector>
 
-#include "bench/harness/table.h"
 #include "src/core/policy.h"
+#include "src/eval/table.h"
 #include "src/ipc/shm_ring.h"
 #include "src/nn/mlp.h"
 #include "src/serve/inference_server.h"

@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "bench/harness/heap_event_queue.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/table.h"
+#include "src/eval/scenario.h"
+#include "src/eval/table.h"
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"

@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/harness/table.h"
+#include "src/eval/table.h"
 #include "src/train/vectorized_trainer.h"
 
 namespace astraea {

@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
+#include "src/eval/scenario.h"
+#include "src/eval/window_metrics.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 

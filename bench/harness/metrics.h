@@ -1,72 +1,9 @@
-// Evaluation metrics matching §5: per-timeslot Jain indices, link utilization,
-// convergence time / stability around flow events (Fig. 12's definitions),
-// and latency/loss summaries.
+// Forward to the window metrics in the evaluation library
+// (src/eval/window_metrics.h); see scenario.h for why it stays.
 
 #ifndef BENCH_HARNESS_METRICS_H_
 #define BENCH_HARNESS_METRICS_H_
 
-#include <string>
-#include <vector>
-
-#include "src/sim/network.h"
-
-namespace astraea {
-
-// Jain index of the active flows' throughputs, sampled every `slot` over
-// [begin, end); slots with fewer than two active flows are skipped (§5.1.1).
-std::vector<double> JainPerTimeslot(const Network& net, TimeNs begin, TimeNs end, TimeNs slot);
-
-// Mean of JainPerTimeslot (the "average Jain index" reported in Figs. 9/10).
-double AverageJain(const Network& net, TimeNs begin, TimeNs end, TimeNs slot);
-
-// Fraction of the link's capacity delivered over [begin, end).
-double LinkUtilization(const Network& net, size_t link_index, TimeNs begin, TimeNs end);
-
-// Mean per-flow average RTT (ms) over the window, weighted by sample count.
-double MeanRttMs(const Network& net, TimeNs begin, TimeNs end);
-double P95RttMs(const Network& net, TimeNs begin, TimeNs end);
-
-// Aggregate loss ratio: lost / (lost + acked) bytes across all flows.
-double AggregateLossRatio(const Network& net);
-
-// Per-flow mean throughput (Mbps) over [begin, end).
-std::vector<double> FlowMeanThroughputs(const Network& net, TimeNs begin, TimeNs end);
-
-// Fair-Aurora-style fairness scores for the cross-scheme competition matrix.
-//
-// Worst-flow share: min(throughput) / fair share (= mean). 1.0 is perfectly
-// fair; 0.0 means some flow was starved outright. Complements Jain, which
-// can stay high while one of many flows starves.
-double WorstFlowShare(const std::vector<double>& throughputs_mbps);
-
-// Harm of the competition on a flow: how far `actual` falls below the
-// `baseline` it achieves against an equal-RTT copy of itself (the
-// self-competition fair share). 0 = unharmed, 1 = starved; negative harm
-// (doing better than baseline) clamps to 0.
-double HarmIndex(double baseline_mbps, double actual_mbps);
-
-// Dumps every flow's per-MTP series as CSV (columns: time_s, flow, scheme,
-// throughput_mbps, rtt_ms, cwnd_pkts) for offline plotting.
-void WriteFlowStatsCsv(const Network& net, const std::string& path);
-
-// Fig. 12 definitions. A "flow event" is an arrival or departure; after each
-// event the *younger* affected flows should converge to the new fair share.
-struct ConvergenceMeasurement {
-  TimeNs event_time = 0;
-  int flow_id = -1;
-  double fair_share_mbps = 0.0;
-  TimeNs convergence_time = -1;     // event -> sustained entry into +-tol band
-  double stability_mbps = 0.0;      // post-convergence throughput stddev
-};
-
-// Measures convergence of flow `flow_id` after `event_time` toward
-// `fair_share_mbps` with tolerance `tol` (paper: 0.10); the band must hold
-// for `hold` (we use 1s) to count. Stability is measured from convergence to
-// `measure_until`.
-ConvergenceMeasurement MeasureConvergence(const Network& net, int flow_id, TimeNs event_time,
-                                          double fair_share_mbps, double tol, TimeNs hold,
-                                          TimeNs measure_until);
-
-}  // namespace astraea
+#include "src/eval/window_metrics.h"
 
 #endif  // BENCH_HARNESS_METRICS_H_

@@ -4,8 +4,8 @@
 
 #include <cstdio>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
+#include "src/eval/scenario.h"
+#include "src/eval/window_metrics.h"
 
 int main(int argc, char** argv) {
   using namespace astraea;
@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
       MakeLteLikeTrace(until, Milliseconds(20), Mbps(1), Mbps(60), &trace_rng));
 
   DumbbellConfig config;
+  config.bandwidth = trace->RateAt(0);  // sizes the buffer
   config.base_rtt = Milliseconds(40);
   config.buffer_bdp = 20.0;  // deep cellular buffer
   config.trace = trace;

@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <string>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
+#include "src/eval/scenario.h"
+#include "src/eval/window_metrics.h"
 
 int main(int argc, char** argv) {
   using namespace astraea;

@@ -5,8 +5,8 @@
 
 #include <cstdio>
 
-#include "bench/harness/metrics.h"
 #include "src/core/schemes.h"
+#include "src/eval/window_metrics.h"
 
 int main(int argc, char** argv) {
   using namespace astraea;

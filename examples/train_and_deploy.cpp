@@ -10,8 +10,8 @@
 
 #include <cstdio>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
+#include "src/eval/scenario.h"
+#include "src/eval/window_metrics.h"
 #include "src/train/vectorized_trainer.h"
 
 int main() {

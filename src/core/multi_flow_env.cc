@@ -37,23 +37,18 @@ MultiFlowEnv::MultiFlowEnv(EnvEpisodeConfig config, const AstraeaHyperparameters
     : config_(std::move(config)), hp_(hp), out_(out), noise_std_(noise_std), rng_(rng) {
   ASTRAEA_CHECK(!config_.flows.empty());
   next_update_ = hp_.model_update_interval;
-  network_ = std::make_unique<Network>(config_.seed);
-
-  LinkConfig link;
-  link.name = "train-bottleneck";
-  link.rate = config_.bandwidth;
-  link.propagation_delay = config_.base_rtt / 2;
-  link.buffer_bytes = std::max<uint64_t>(
-      static_cast<uint64_t>(config_.buffer_bdp *
-                            static_cast<double>(BdpBytes(config_.bandwidth, config_.base_rtt))),
-      3000);
+  DumbbellConfig link;
+  link.bandwidth = config_.bandwidth;
+  link.base_rtt = config_.base_rtt;
+  link.buffer_bdp = config_.buffer_bdp;
   link.random_loss = config_.random_loss;
   link.trace = config_.trace;
   link.queue_factory = config_.queue_factory;
-  network_->AddLink(link);
+  link.seed = config_.seed;
+  scenario_ = std::make_unique<DumbbellScenario>(link);
 
   link_info_.base_one_way_delay = config_.base_rtt / 2;
-  link_info_.buffer_bytes = link.buffer_bytes;
+  link_info_.buffer_bytes = scenario_->BufferBytes();
   link_info_.bandwidth = config_.bandwidth;
 
   controllers_.resize(config_.flows.size(), nullptr);
@@ -62,13 +57,7 @@ MultiFlowEnv::MultiFlowEnv(EnvEpisodeConfig config, const AstraeaHyperparameters
   for (size_t i = 0; i < config_.flows.size(); ++i) {
     const FlowSchedule& sched = config_.flows[i];
     const int flow_id = static_cast<int>(i);
-    FlowSpec spec;
-    spec.scheme = "astraea-train";
-    spec.start = sched.start;
-    spec.duration = sched.duration;
-    spec.extra_one_way_delay = sched.extra_one_way_delay;
-    spec.link_path = {0};
-    spec.make_cc = [this, policy, flow_id] {
+    auto make_cc = [this, policy, flow_id] {
       auto cc = std::make_unique<AstraeaController>(policy, hp_);
       cc->set_action_hook([this, flow_id](const StateView& view, double proposed) {
         return OnDecision(flow_id, view, proposed);
@@ -76,15 +65,16 @@ MultiFlowEnv::MultiFlowEnv(EnvEpisodeConfig config, const AstraeaHyperparameters
       controllers_[flow_id] = cc.get();
       return cc;
     };
-    const int assigned = network_->AddFlow(spec);
+    const int assigned = scenario_->AddFlowWithFactory(
+        "astraea-train", make_cc, sched.start, sched.duration, sched.extra_one_way_delay);
     ASTRAEA_CHECK(assigned == flow_id);
   }
 }
 
 std::vector<float> MultiFlowEnv::ObserveGlobalState() const {
   std::vector<const MtpReport*> reports;
-  for (int id : network_->ActiveFlowIds()) {
-    const Sender& sender = network_->sender(id);
+  for (int id : scenario_->network().ActiveFlowIds()) {
+    const Sender& sender = scenario_->network().sender(id);
     if (sender.last_report().now > 0) {
       reports.push_back(&sender.last_report());
     }
@@ -94,9 +84,9 @@ std::vector<float> MultiFlowEnv::ObserveGlobalState() const {
 
 RewardBreakdown MultiFlowEnv::ComputeGlobalReward() const {
   std::vector<FlowRewardInput> inputs;
-  for (int id : network_->ActiveFlowIds()) {
+  for (int id : scenario_->network().ActiveFlowIds()) {
     AstraeaController* cc = controllers_[static_cast<size_t>(id)];
-    const Sender& sender = network_->sender(id);
+    const Sender& sender = scenario_->network().sender(id);
     if (cc == nullptr || sender.last_report().now <= 0) {
       continue;
     }
@@ -154,7 +144,7 @@ bool MultiFlowEnv::AdvanceOneInterval() {
   if (done()) {
     return false;
   }
-  network_->Run(next_update_);
+  scenario_->Run(next_update_);
   next_update_ += hp_.model_update_interval;
   return true;
 }
@@ -162,7 +152,7 @@ bool MultiFlowEnv::AdvanceOneInterval() {
 EpisodeStats MultiFlowEnv::Finish() {
   ASTRAEA_CHECK(!finished_);
   finished_ = true;
-  network_->Run(config_.episode_length);
+  scenario_->Run(config_.episode_length);
   if (stats_.decisions > 0) {
     stats_.mean_reward /= stats_.decisions;
     stats_.mean_r_fair /= stats_.decisions;

@@ -25,6 +25,7 @@
 #include "src/core/astraea_controller.h"
 #include "src/core/reward.h"
 #include "src/core/training_config.h"
+#include "src/eval/scenario.h"
 #include "src/nn/mlp.h"
 #include "src/rl/replay_buffer.h"
 #include "src/sim/network.h"
@@ -48,7 +49,7 @@ struct EnvEpisodeConfig {
   // reproduce the original Table-3-only environment byte for byte.
   double random_loss = 0.0;             // iid wire loss on the bottleneck
   QueueFactory queue_factory;           // AQM override (default DropTail)
-  std::shared_ptr<RateProvider> trace;  // time-varying rate; overrides bandwidth
+  std::shared_ptr<RateProvider> trace;  // drives the rate; bandwidth still sizes the buffer
   std::vector<FlowSchedule> flows;
   TimeNs episode_length = Seconds(30.0);
   uint64_t seed = 1;
@@ -92,7 +93,7 @@ class MultiFlowEnv {
   // false.
   EpisodeStats Finish();
 
-  Network& network() { return *network_; }
+  Network& network() { return scenario_->network(); }
   const EnvEpisodeConfig& config() const { return config_; }
 
  private:
@@ -113,7 +114,7 @@ class MultiFlowEnv {
   double noise_std_;
   Rng* rng_;  // the stream exploration noise is drawn from
 
-  std::unique_ptr<Network> network_;
+  std::unique_ptr<DumbbellScenario> scenario_;
   std::vector<AstraeaController*> controllers_;  // index = flow id
   std::vector<PendingDecision> pending_;
   LinkInfo link_info_;

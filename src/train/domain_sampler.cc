@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 
+#include "src/eval/scenario.h"
+
 namespace astraea {
 
 DomainRanges DomainRanges::TableThree() { return DomainRanges{}; }
@@ -40,27 +42,15 @@ DomainSampler::Draw DomainSampler::SampleDraw(Rng* rng) const {
 
   // 2. AQM selector: one uniform draw splits [0,1) into RED / CoDel / DropTail
   //    bands, so enabling one family does not shift another family's stream.
-  std::string qdisc = "droptail";
+  Qdisc qdisc = Qdisc::kDropTail;
   const double aqm = rng->Uniform();
-  const uint64_t capacity = std::max<uint64_t>(
-      static_cast<uint64_t>(config.buffer_bdp *
-                            static_cast<double>(BdpBytes(config.bandwidth, config.base_rtt))),
-      3000);
   if (aqm < ranges_.red_probability) {
-    qdisc = "red";
-    config.queue_factory = [capacity](Rng red_rng) -> std::unique_ptr<QueueDiscipline> {
-      RedConfig red;
-      red.capacity_bytes = capacity;
-      return std::make_unique<RedQueue>(red, red_rng);
-    };
+    qdisc = Qdisc::kRed;
   } else if (aqm < ranges_.red_probability + ranges_.codel_probability) {
-    qdisc = "codel";
-    config.queue_factory = [capacity](Rng) -> std::unique_ptr<QueueDiscipline> {
-      CoDelConfig codel;
-      codel.capacity_bytes = capacity;
-      return std::make_unique<CoDelQueue>(codel);
-    };
+    qdisc = Qdisc::kCoDel;
   }
+  config.queue_factory = MakeQueueFactory(
+      qdisc, BdpBufferBytes(config.bandwidth, config.base_rtt, config.buffer_bdp));
 
   // 3. Rate-variation gate: an LTE-like trace oscillating below the sampled
   //    bandwidth. The trace is generated from a stream forked off the episode
@@ -77,7 +67,7 @@ DomainSampler::Draw DomainSampler::SampleDraw(Rng* rng) const {
         config.episode_length + Seconds(60.0), granularity, floor, config.bandwidth, &trace_rng));
   }
 
-  draw.family = traced ? "lte-trace" : qdisc;
+  draw.family = traced ? "lte-trace" : QdiscName(qdisc);
   if (lossy) {
     draw.family += "+loss";
   }

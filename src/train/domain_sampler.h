@@ -1,4 +1,4 @@
-// Domain randomization for generalist training (paper §3.2 / ROADMAP item 5).
+// Domain randomization for generalist training (paper §3.2, DESIGN.md §14.4).
 //
 // SampleEpisode() covers Table 3 (bandwidth, RTT, buffer, flow count/arrival
 // randomization); the DomainSampler layers the rest of the repo's scenario

@@ -4,12 +4,7 @@
 #include <cstdio>
 #include <map>
 
-#include "src/cc/cubic.h"
-#include "src/cc/newreno.h"
-#include "src/cc/udp_blast.h"
-#include "src/core/astraea_controller.h"
-#include "src/sim/network.h"
-#include "src/sim/queue_disc.h"
+#include "src/eval/window_metrics.h"
 #include "src/util/logging.h"
 #include "src/util/stats.h"
 
@@ -17,32 +12,11 @@ namespace astraea {
 
 namespace {
 
-constexpr uint64_t kEcnMarkThresholdBytes = 30'000;
 constexpr TimeNs kJainSlot = Seconds(1.0);
 // Fig. 12's convergence band and hold time.
 constexpr double kConvergenceTolerance = 0.10;
 constexpr TimeNs kConvergenceHold = Seconds(1.0);
 constexpr double kNeverConvergedSeconds = 99.0;
-
-QueueFactory MakeQueueFactory(Qdisc qdisc, uint64_t capacity) {
-  switch (qdisc) {
-    case Qdisc::kDropTail:
-      return {};
-    case Qdisc::kRed:
-      return [capacity](Rng rng) -> std::unique_ptr<QueueDiscipline> {
-        RedConfig red;
-        red.capacity_bytes = capacity;
-        return std::make_unique<RedQueue>(red, rng);
-      };
-    case Qdisc::kEcn:
-      return [capacity](Rng) -> std::unique_ptr<QueueDiscipline> {
-        EcnConfig ecn;
-        ecn.mark_threshold_bytes = kEcnMarkThresholdBytes;
-        return std::make_unique<EcnMarkingQueue>(std::make_unique<DropTailQueue>(capacity), ecn);
-      };
-  }
-  return {};
-}
 
 std::vector<ScoringScenario> ScorecardSuite() {
   const RateBps bw = Mbps(100);
@@ -121,114 +95,68 @@ ScenarioScore ScoreScenario(const ScoringScenario& row, std::shared_ptr<const Po
                             const AstraeaHyperparameters& hp) {
   ASTRAEA_CHECK(!row.flows.empty());
   ASTRAEA_CHECK(row.score_from < row.until);
-  Network network(row.seed);
-
-  // A trace's long-run mean replaces the nominal bandwidth: the 96 Mbps
-  // default against a ~9 Mbps cellular capture would oversize the buffer
+  DumbbellConfig config;
+  // A trace's long-run mean is the bandwidth that sizes the buffer: the
+  // 96 Mbps default against a ~9 Mbps cellular capture would oversize it
   // into a bufferbloat trap.
-  const RateBps mean_rate =
+  config.bandwidth =
       row.trace ? row.trace->CapacityBits(0, row.until) / ToSeconds(row.until) : row.bandwidth;
-  LinkConfig link;
-  link.name = "bottleneck";
-  link.rate = row.bandwidth;
-  link.trace = row.trace;
-  link.propagation_delay = row.base_rtt / 2;
-  link.buffer_bytes = std::max<uint64_t>(
-      static_cast<uint64_t>(row.buffer_bdp *
-                            static_cast<double>(BdpBytes(mean_rate, row.base_rtt))),
-      3000);
-  link.random_loss = row.random_loss;
-  link.queue_factory = MakeQueueFactory(row.qdisc, link.buffer_bytes);
-  network.AddLink(link);
+  config.base_rtt = row.base_rtt;
+  config.buffer_bdp = row.buffer_bdp;
+  config.random_loss = row.random_loss;
+  config.trace = row.trace;
+  config.queue_factory = MakeQueueFactory(
+      row.qdisc, BdpBufferBytes(config.bandwidth, config.base_rtt, config.buffer_bdp));
+  config.seed = row.seed;
+  DumbbellScenario scenario(config);
+  SchemeOptions& options = scenario.scheme_options();
+  options.astraea_policy = std::move(policy);
+  options.astraea_hp = hp;
+  options.blast_rate_bps = 0.4 * row.bandwidth;
 
-  auto add_flow = [&network](const char* scheme, const FlowSchedule& f, CcFactory make_cc) {
-    FlowSpec spec;
-    spec.scheme = scheme;
-    spec.start = f.start;
-    spec.duration = f.duration;
-    spec.extra_one_way_delay = f.extra_one_way_delay;
-    spec.link_path = {0};
-    spec.make_cc = std::move(make_cc);
-    return network.AddFlow(spec);
-  };
   // Astraea flows take ids [0, n); cross traffic rides behind them.
   for (const FlowSchedule& f : row.flows) {
-    add_flow("astraea", f,
-             [policy, hp] { return std::make_unique<AstraeaController>(policy, hp); });
+    scenario.AddFlow("astraea", f.start, f.duration, f.extra_one_way_delay);
   }
-  int first_cross = -1;
+  const int first_cross = static_cast<int>(row.flows.size());
   if (row.cross == CrossTraffic::kCubic) {
-    first_cross = add_flow("cubic", {0, -1, 0}, [] { return std::make_unique<Cubic>(); });
+    scenario.AddFlow("cubic", 0);
   } else if (row.cross == CrossTraffic::kNewRenoAndBlast) {
-    first_cross = add_flow("newreno", {0, -1, 0}, [] { return std::make_unique<NewReno>(); });
-    const double blast_bps = 0.4 * row.bandwidth;
-    add_flow("blast", {row.until / 2 + row.until / 8, row.until / 8, 0},
-             [blast_bps] { return std::make_unique<UdpBlast>(blast_bps); });
+    scenario.AddFlow("newreno", 0);
+    scenario.AddFlow("blast", row.until / 2 + row.until / 8, row.until / 8);
   }
-  network.Run(row.until);
+  scenario.Run(row.until);
 
+  const Network& net = scenario.network();
   const TimeNs begin = row.score_from;
   const TimeNs end = row.until;
-  const size_t n = row.flows.size();
+  const FlowRange astraea = {0, first_cross};
   ScenarioScore score;
-  std::vector<double> means;
-  std::vector<double> rtts;
-  double total_mbps = 0.0;
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_lost = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const FlowStats& stats = network.flow_stats(static_cast<int>(i));
-    means.push_back(stats.throughput_mbps.MeanOver(begin, end));
-    total_mbps += means.back();
-    for (const auto& [t, rtt_ms] : stats.rtt_ms.points()) {
-      if (t >= begin && t < end) {
-        rtts.push_back(rtt_ms);
-      }
-    }
-    bytes_sent += stats.bytes_sent;
-    bytes_lost += stats.bytes_lost;
-  }
-  score.utilization =
-      total_mbps / (row.trace ? row.trace->CapacityBits(begin, end) / (ToSeconds(end - begin) * 1e6)
-                              : row.bandwidth / 1e6);
-
-  std::vector<double> rates;
-  double jain_sum = 0.0;
-  int slots = 0;
-  for (TimeNs t = begin; t + kJainSlot <= end; t += kJainSlot) {
-    rates.clear();
-    for (size_t i = 0; i < n; ++i) {
-      rates.push_back(network.flow_stats(static_cast<int>(i)).throughput_mbps.MeanOver(
-          t, t + kJainSlot));
-    }
-    jain_sum += JainIndex(rates);
-    ++slots;
-  }
-  score.jain = slots > 0 ? jain_sum / slots : 1.0;
+  score.utilization = LinkUtilization(net, 0, begin, end, astraea);
+  score.jain = AverageJain(net, begin, end, kJainSlot, astraea);
+  const std::vector<double> means = FlowMeanThroughputs(net, begin, end, astraea);
   score.jain_of_means = JainIndex(means);
-  if (!rtts.empty()) {
-    score.mean_rtt_ms = Mean(rtts);
-    score.p95_delay_ms = Percentile(std::move(rtts), 95.0);
-  }
-  score.loss_rate =
-      bytes_sent > 0 ? static_cast<double>(bytes_lost) / static_cast<double>(bytes_sent) : 0.0;
+  score.mean_rtt_ms = MeanRttMs(net, begin, end, astraea);
+  score.p95_delay_ms = P95RttMs(net, begin, end, astraea);
+  score.loss_rate = LostPerSentRatio(net, astraea);
 
+  // The last arrival converges toward an equal share of the capacity.
   size_t last = 0;
-  for (size_t i = 1; i < n; ++i) {
+  for (size_t i = 1; i < row.flows.size(); ++i) {
     if (row.flows[i].start >= row.flows[last].start) {
       last = i;
     }
   }
-  const TimeNs arrival = row.flows[last].start;
-  const TimeSeries& thr = network.flow_stats(static_cast<int>(last)).throughput_mbps;
-  const double fair_share_mbps = mean_rate / 1e6 / static_cast<double>(n);
-  const TimeNs entered =
-      thr.FirstStableEntry(arrival, fair_share_mbps, kConvergenceTolerance, kConvergenceHold);
-  score.convergence_s = entered < 0 ? kNeverConvergedSeconds : ToSeconds(entered - arrival);
-  score.stability_mbps = thr.StdDevOver(entered < 0 ? arrival : entered, end);
+  const ConvergenceMeasurement m = MeasureConvergence(
+      net, static_cast<int>(last), row.flows[last].start,
+      config.bandwidth / 1e6 / static_cast<double>(row.flows.size()), kConvergenceTolerance,
+      kConvergenceHold, end);
+  score.convergence_s =
+      m.convergence_time < 0 ? kNeverConvergedSeconds : ToSeconds(m.convergence_time);
+  score.stability_mbps = m.stability_mbps;
 
-  if (first_cross >= 0) {
-    const double cross_mbps = network.flow_stats(first_cross).throughput_mbps.MeanOver(begin, end);
+  if (row.cross != CrossTraffic::kNone) {
+    const double cross_mbps = net.flow_stats(first_cross).throughput_mbps.MeanOver(begin, end);
     score.cross_ratio = means[0] / std::max(cross_mbps, 0.1);
   }
   return score;

@@ -14,16 +14,11 @@
 #include "src/core/multi_flow_env.h"
 #include "src/core/policy.h"
 #include "src/core/training_config.h"
+#include "src/eval/scenario.h"
 #include "src/sim/rate_provider.h"
 #include "src/util/time.h"
 
 namespace astraea {
-
-enum class Qdisc {
-  kDropTail,
-  kRed,
-  kEcn,  // DropTail wrapped in an EcnMarkingQueue marking above 30 KB
-};
 
 enum class CrossTraffic {
   kNone,
@@ -55,14 +50,15 @@ struct ScoringScenario {
 };
 
 // Every field is computed over the Astraea flows only, in the row's scoring
-// window (loss: over the whole run).
+// window (loss: over the whole run), by the window metrics of
+// src/eval/window_metrics.h.
 struct ScenarioScore {
   double utilization = 0.0;    // goodput / link capacity
   double jain = 1.0;           // mean Jain index over 1 s slots
   double jain_of_means = 1.0;  // Jain index of the per-flow mean throughputs
   double mean_rtt_ms = 0.0;    // mean of the per-MTP RTT samples
   double p95_delay_ms = 0.0;   // p95 of the per-MTP RTT samples
-  double loss_rate = 0.0;      // bytes lost / bytes sent
+  double loss_rate = 0.0;      // bytes lost / bytes sent (LostPerSentRatio)
   // The last arrival: from its start to a sustained (1 s) entry into ±10% of
   // the fair share (capacity / Astraea flows), 99 if it never enters; then
   // its throughput stddev from that entry (from its start if it never did).
@@ -72,9 +68,9 @@ struct ScenarioScore {
   double composite = 0.0;      // the promotion gate's; ScoreScenario leaves it 0
 };
 
-// Builds the row's bottleneck, runs it to `until` with every Astraea flow
-// acting through `policy` under `hp`, and scores it. Deterministic: the row
-// pins every seed, and no other stream is read.
+// Maps the row onto a DumbbellScenario, runs it to `until` with every
+// Astraea flow acting through `policy` under `hp`, and scores it.
+// Deterministic: the row pins every seed, and no other stream is read.
 ScenarioScore ScoreScenario(const ScoringScenario& row, std::shared_ptr<const Policy> policy,
                             const AstraeaHyperparameters& hp);
 

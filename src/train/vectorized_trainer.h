@@ -1,4 +1,4 @@
-// Vectorized actor/learner training (DESIGN.md §14, ROADMAP item 5).
+// Vectorized actor/learner training (DESIGN.md §14).
 //
 // N MultiFlowEnv actors run one model-update segment at a time on the PR-1
 // thread pool, each acting through a private snapshot of the shared actor

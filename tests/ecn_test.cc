@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/scenario_universe.h"
+#include "src/eval/scenario.h"
+#include "src/eval/scenario_universe.h"
+#include "src/eval/window_metrics.h"
 #include "src/sim/invariants.h"
 #include "src/sim/queue_disc.h"
 #include "src/sim/trace.h"

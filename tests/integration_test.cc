@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
+#include "src/eval/scenario.h"
+#include "src/eval/window_metrics.h"
 
 namespace astraea {
 namespace {
@@ -168,6 +168,7 @@ TEST(IntegrationTest, AstraeaTracksTraceDrivenCapacity) {
   config.buffer_bdp = 8.0;
   config.trace = std::make_shared<RateTrace>(
       MakeSquareWaveTrace(Seconds(60.0), Seconds(5.0), Mbps(20), Mbps(80)));
+  config.bandwidth = config.trace->RateAt(0);
   DumbbellScenario scenario(config);
   scenario.AddFlow("astraea", 0);
   scenario.Run(Seconds(40.0));

@@ -1,14 +1,14 @@
-// Scenario-universe harness tests (bench/harness/scenario_universe.h): the
+// Scenario-universe harness tests (src/eval/scenario_universe.h): the
 // three workload families must be deterministic and worker-invariant under
-// the PR-6 shard protocol, incast completion semantics must hold, and the
+// the shard protocol, incast completion semantics must hold, and the
 // adversarial ingredients (churn, blasts) must actually hurt.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario_universe.h"
+#include "src/eval/scenario_universe.h"
+#include "src/eval/window_metrics.h"
 #include "src/sim/invariants.h"
 
 namespace astraea {

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/harness/scenario.h"
+#include "src/eval/scenario.h"
 #include "src/util/metrics.h"
 #include "src/util/thread_pool.h"
 

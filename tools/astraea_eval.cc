@@ -16,8 +16,8 @@
 #include <cstring>
 #include <string>
 
-#include "bench/harness/cli_scenario.h"
-#include "bench/harness/table.h"
+#include "src/eval/cli_scenario.h"
+#include "src/eval/table.h"
 #include "src/train/scoring.h"
 #include "src/util/cli_flags.h"
 

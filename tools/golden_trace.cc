@@ -33,10 +33,10 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness/cli_scenario.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/scenario_universe.h"
 #include "src/core/policy.h"
+#include "src/eval/cli_scenario.h"
+#include "src/eval/scenario.h"
+#include "src/eval/scenario_universe.h"
 #include "src/sim/trace.h"
 
 #ifndef ASTRAEA_SOURCE_DIR
@@ -46,9 +46,9 @@
 namespace astraea {
 namespace {
 
-// The paper's comparison set (schemes.h) minus orca, whose reproduction is
-// still tracked in ROADMAP.md, plus `astraea_mlp`: the Astraea controller on
-// the committed trained checkpoint instead of the distilled policy.
+// The paper's comparison set (schemes.h) minus orca, plus `astraea_mlp`: the
+// Astraea controller on the committed trained checkpoint instead of the
+// distilled policy.
 constexpr const char* kSchemes[] = {"newreno", "cubic", "vegas", "bbr",     "copa",
                                     "vivace",  "aurora", "remy", "astraea", "astraea_mlp"};
 constexpr const char* kMlpScheme = "astraea_mlp";
@@ -90,7 +90,7 @@ std::shared_ptr<const Policy> TrainedPolicy() {
   }
 }
 
-// Universe scenario set (ROADMAP item 4): one golden per family, each with a
+// Universe scenario set (DESIGN.md §15.4): one golden per family, each with a
 // small per-family scheme subset (ECN-capable DCTCP only makes sense on the
 // incast bottleneck; the others use the paper's main comparands). The configs
 // are deliberately tiny versions of the bench defaults so the corpus stays
@@ -182,16 +182,8 @@ std::vector<TraceEvent> RunGolden(const GoldenScenario& sc, const std::string& s
   if (sc.flows > 1) {
     scenario.AddFlow(controller, Seconds(sc.second_flow_start_s));
   }
-
-  Tracer tracer("", Tracer::Format::kNone, 1 << 20);
-  scenario.network().SetTracer(&tracer);
-  scenario.Run(Seconds(sc.until_s));
-  if (tracer.recorded() > (1u << 20)) {
-    std::fprintf(stderr, "FATAL: %s/%s overflowed the trace ring (%llu events)\n", sc.name,
-                 scheme.c_str(), static_cast<unsigned long long>(tracer.recorded()));
-    std::exit(2);
-  }
-  return tracer.BufferedEvents();
+  const std::string tag = std::string(sc.name) + "/" + scheme;
+  return CaptureTrace(scenario, Seconds(sc.until_s), tag.c_str());
 }
 
 std::string GoldenPath(const std::string& dir, const GoldenScenario& sc,

@@ -28,10 +28,10 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness/cli_scenario.h"
-#include "bench/harness/metrics.h"
-#include "bench/harness/scenario.h"
-#include "bench/harness/table.h"
+#include "src/eval/cli_scenario.h"
+#include "src/eval/scenario.h"
+#include "src/eval/table.h"
+#include "src/eval/window_metrics.h"
 #include "src/sim/trace.h"
 #include "src/util/cli_flags.h"
 #include "src/util/metrics.h"
