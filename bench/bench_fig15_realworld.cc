@@ -13,17 +13,19 @@
 // behavior on both planes. Bandwidth is capped at 100 Mbps in this mode (for
 // both planes, so the comparison stays apples-to-apples): the benchmark
 // validates the data plane's control behavior, not the host's UDP packet
-// rate. `--real-json <path>` writes the comparison as a JSON artifact.
+// rate. The comparison is written as a record to BENCH_fig15_real.json (--out
+// PATH overrides). Four checks fail the run: a real transfer that fails or
+// accepts a corrupt frame, or a throughput or p95-RTT ratio (real / sim)
+// outside [0.5, 2].
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/core/astraea_controller.h"
 #include "src/core/policy.h"
+#include "src/eval/bench_record.h"
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
 #include "src/eval/window_metrics.h"
@@ -106,10 +108,10 @@ PlaneResult RunRealPlane(const WanProfile& profile, RateBps bandwidth, TimeNs du
 
 double Ratio(double real, double sim) { return sim > 0.0 ? real / sim : 0.0; }
 
-int RealMain(bool quick, const std::string& json_path) {
+int RealMain(BenchRecord* record) {
   // Real sockets burn wall-clock time: keep runs short. The sim plane uses
   // the same horizon so MTP sample counts match.
-  const TimeNs duration = Seconds(quick ? 8.0 : 20.0);
+  const TimeNs duration = Seconds(record->quick() ? 8.0 : 20.0);
   const TimeNs warmup = Seconds(2.0);
 
   PrintBenchHeader("Figure 15 — sim-vs-real data plane",
@@ -123,21 +125,17 @@ int RealMain(bool quick, const std::string& json_path) {
       {"intra-continental", Mbps(300), Milliseconds(25), 0.0002, 2},
       {"inter-continental", Mbps(1000), Milliseconds(150), 0.0005, 3},
   };
-  std::string json = "{\n  \"duration_s\": " + std::to_string(ToSeconds(duration)) +
-                     ",\n  \"profiles\": [\n";
-  bool first = true;
-  bool transfer_ok = true;
+  record->Metric("duration_s", ToSeconds(duration), "s");
+  bool transfers_ok = true, clean = true, thr_ok = true, rtt_ok = true;
+  std::string transfers, corrupt, thr_ratios, rtt_ratios;
+  const auto append = [](std::string* list, const std::string& name, const std::string& item) {
+    *list += (list->empty() ? "" : ", ") + name + " " + item;
+  };
   for (const WanProfile& profile : profiles) {
     const RateBps bandwidth = std::min<RateBps>(profile.bandwidth, Mbps(100));
     const PlaneResult sim = RunSimPlane(profile, bandwidth, duration, warmup);
     net::LoopbackResult raw;
     const PlaneResult real = RunRealPlane(profile, bandwidth, duration, &raw);
-    if (!raw.ok || raw.receiver.corrupt_frames != 0) {
-      std::fprintf(stderr, "real plane failed for %s: %s (corrupt=%llu)\n", profile.name,
-                   raw.error.c_str(),
-                   static_cast<unsigned long long>(raw.receiver.corrupt_frames));
-      transfer_ok = false;
-    }
     const double thr_ratio = Ratio(real.throughput_mbps, sim.throughput_mbps);
     const double rtt_ratio = Ratio(real.rtt_p95_ms, sim.rtt_p95_ms);
     table.AddRow({profile.name, "sim", ConsoleTable::Num(sim.throughput_mbps, 1),
@@ -145,48 +143,43 @@ int RealMain(bool quick, const std::string& json_path) {
     table.AddRow({profile.name, "real", ConsoleTable::Num(real.throughput_mbps, 1),
                   ConsoleTable::Num(real.rtt_p95_ms, 1), ConsoleTable::Num(thr_ratio, 2),
                   ConsoleTable::Num(rtt_ratio, 2)});
-    json += std::string(first ? "" : ",\n") + "    {\"name\": \"" + profile.name +
-            "\", \"bandwidth_mbps\": " + std::to_string(ToMbps(bandwidth)) +
-            ", \"rtt_ms\": " + std::to_string(ToSeconds(profile.rtt) * 1e3) +
-            ", \"loss\": " + std::to_string(profile.loss) +
-            ",\n     \"sim\": {\"throughput_mbps\": " + std::to_string(sim.throughput_mbps) +
-            ", \"rtt_p95_ms\": " + std::to_string(sim.rtt_p95_ms) +
-            "},\n     \"real\": {\"throughput_mbps\": " + std::to_string(real.throughput_mbps) +
-            ", \"rtt_p95_ms\": " + std::to_string(real.rtt_p95_ms) +
-            ", \"corrupt_frames\": " + std::to_string(raw.receiver.corrupt_frames) +
-            ", \"bytes_acked\": " + std::to_string(raw.sender.bytes_acked) +
-            ", \"rto_fires\": " + std::to_string(raw.sender.rto_fires) +
-            "},\n     \"throughput_ratio\": " + std::to_string(thr_ratio) +
-            ", \"rtt_p95_ratio\": " + std::to_string(rtt_ratio) + "}";
-    first = false;
+    const std::string key = std::string("profiles.") + profile.name + ".";
+    record->Metric(key + "sim.throughput_mbps", sim.throughput_mbps, "Mbps");
+    record->Metric(key + "sim.rtt_p95_ms", sim.rtt_p95_ms, "ms");
+    record->Metric(key + "real.throughput_mbps", real.throughput_mbps, "Mbps");
+    record->Metric(key + "real.rtt_p95_ms", real.rtt_p95_ms, "ms");
+    record->Metric(key + "real.corrupt_frames", static_cast<double>(raw.receiver.corrupt_frames),
+                   "count");
+    record->Metric(key + "real.bytes_acked", static_cast<double>(raw.sender.bytes_acked), "B");
+    record->Metric(key + "real.rto_fires", static_cast<double>(raw.sender.rto_fires), "count");
+    record->Metric(key + "throughput_ratio", thr_ratio, "ratio");
+    record->Metric(key + "rtt_p95_ratio", rtt_ratio, "ratio");
+    transfers_ok &= raw.ok;
+    append(&transfers, profile.name, raw.ok ? "ok" : raw.error);
+    clean &= raw.receiver.corrupt_frames == 0;
+    append(&corrupt, profile.name, std::to_string(raw.receiver.corrupt_frames));
+    thr_ok &= thr_ratio >= 0.5 && thr_ratio <= 2.0;
+    append(&thr_ratios, profile.name, ConsoleTable::Num(thr_ratio));
+    rtt_ok &= rtt_ratio >= 0.5 && rtt_ratio <= 2.0;
+    append(&rtt_ratios, profile.name, ConsoleTable::Num(rtt_ratio));
   }
-  json += "\n  ]\n}\n";
   table.Print();
-  std::printf("\nacceptance: real within 2x of sim on both axes "
-              "(throughput ratio in [0.5, 2], p95 RTT ratio in [0.5, 2])\n");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << json;
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return transfer_ok ? 0 : 1;
+  record->Check("real.transfer_ok", transfers_ok, transfers);
+  record->Check("real.corrupt_frames_zero", clean, corrupt);
+  record->Check("throughput_ratio_within_2x", thr_ok, thr_ratios);
+  record->Check("rtt_p95_ratio_within_2x", rtt_ok, rtt_ratios);
+  return record->Finish();
 }
 
 int Main(int argc, char** argv) {
-  const bool quick = QuickMode(argc, argv);
-  bool real = false;
-  std::string real_json;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--real") == 0) {
-      real = true;
-    } else if (std::strcmp(argv[i], "--real-json") == 0 && i + 1 < argc) {
-      real_json = argv[++i];
-    }
+  BenchRecord record("fig15_real", argc, argv, {"--real"});
+  if (!record.args_ok()) {
+    return 1;
   }
-  if (real) {
-    return RealMain(quick, real_json);
+  if (record.Has("--real")) {
+    return RealMain(&record);
   }
-  const TimeNs until = Seconds(quick ? 30.0 : 60.0);
+  const TimeNs until = Seconds(record.quick() ? 30.0 : 60.0);
   const int reps = BenchReps(2);
 
   // Residential->AWS paths are mostly idle with episodic interference and

@@ -5,13 +5,14 @@
 //     service vs Orca's one-inference-per-flow design),
 //   * simulator event throughput (harness sanity number).
 //
-// With --serve-json=PATH the binary additionally benchmarks the
-// out-of-process serving path (src/serve/): it forks a real astraea_serve
-// process, runs 1..16 concurrent shared-memory clients against it, and
-// emits p50/p95/p99 decision latency plus decisions/sec per client count —
-// next to the in-process dispatch baseline — as PATH (BENCH_serve.json in
-// CI). --serve-quick shrinks the request counts for smoke runs. Both flags
-// are stripped before google-benchmark sees the command line.
+// With --serve the binary additionally benchmarks the out-of-process serving
+// path (src/serve/): it forks a real astraea_serve process, waits until it
+// accepts a client, runs 1..16 concurrent shared-memory clients against it,
+// and records p50/p95/p99 decision latency plus decisions/sec per client
+// count — next to the in-process dispatch baseline — to BENCH_fig16_serve.json
+// (--out PATH overrides). Two checks fail the run: a server that never accepts
+// a client, or any served request that fell back. --quick shrinks the request
+// counts for smoke runs. google-benchmark reads its own flags first.
 
 #include <benchmark/benchmark.h>
 
@@ -21,8 +22,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,11 +32,13 @@
 #include "src/core/astraea_controller.h"
 #include "src/core/inference_service.h"
 #include "src/core/training_config.h"
+#include "src/eval/bench_record.h"
 #include "src/ipc/shm_ring.h"
 #include "src/serve/inference_server.h"
 #include "src/serve/remote_policy.h"
 #include "src/sim/network.h"
 #include "src/util/serialization.h"
+#include "src/util/stats.h"
 
 namespace astraea {
 namespace {
@@ -143,47 +147,53 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 BENCHMARK(BM_SimulatorEventThroughput)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Out-of-process serving comparison (--serve-json=PATH).
+// Out-of-process serving comparison (--serve).
 // ---------------------------------------------------------------------------
 
-struct LatencyStats {
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-  double mean_us = 0.0;
-  double decisions_per_sec = 0.0;
-  uint64_t fallbacks = 0;
-};
+// Seed stream of the served clients' request states.
+constexpr uint64_t kServeClientSeedStream = 0xA57AEA16;
 
-LatencyStats Summarize(std::vector<int64_t> latencies_ns, double wall_seconds,
-                       uint64_t fallbacks) {
-  LatencyStats stats;
-  stats.fallbacks = fallbacks;
-  if (latencies_ns.empty()) {
-    return stats;
+// Records the latency percentiles, mean and decision rate of one measured
+// point under `key`, and prints them as one line.
+void RecordLatencies(BenchRecord* record, const std::string& key, const char* label,
+                     const std::vector<double>& latencies_us, double wall_seconds) {
+  const double n = static_cast<double>(latencies_us.size());
+  const double p50 = Percentile(latencies_us, 50.0);
+  const double p95 = Percentile(latencies_us, 95.0);
+  const double p99 = Percentile(latencies_us, 99.0);
+  const double rate = wall_seconds > 0.0 ? n / wall_seconds : 0.0;
+  record->Metric(key + ".p50_us", p50, "us");
+  record->Metric(key + ".p95_us", p95, "us");
+  record->Metric(key + ".p99_us", p99, "us");
+  record->Metric(key + ".mean_us",
+                 n > 0 ? std::accumulate(latencies_us.begin(), latencies_us.end(), 0.0) / n : 0.0,
+                 "us");
+  record->Metric(key + ".decisions_per_sec", rate, "decisions/s");
+  std::printf("%-15s p50 %7.1fus  p95 %7.1fus  p99 %7.1fus  %10.0f dec/s", label, p50, p95, p99,
+              rate);
+}
+
+double MicrosSince(TimeNs t0) { return static_cast<double>(ipc::MonotonicNowNs() - t0) / 1e3; }
+
+// The server binds its socket and starts serving in the forked child; a
+// client that connects before then finds no server and falls back on every
+// request. Waits, up to 10 s, until the server completes a handshake.
+bool ServerAccepts(const std::string& socket_path) {
+  serve::ServeClientConfig config;
+  config.socket_path = socket_path;
+  const TimeNs deadline = ipc::MonotonicNowNs() + Seconds(10.0);
+  while (serve::ServeClient::Connect(config) == nullptr) {
+    if (ipc::MonotonicNowNs() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  std::sort(latencies_ns.begin(), latencies_ns.end());
-  const auto pct = [&](double p) {
-    const size_t idx = static_cast<size_t>(p * static_cast<double>(latencies_ns.size() - 1));
-    return static_cast<double>(latencies_ns[idx]) / 1e3;
-  };
-  stats.p50_us = pct(0.50);
-  stats.p95_us = pct(0.95);
-  stats.p99_us = pct(0.99);
-  double sum = 0.0;
-  for (const int64_t ns : latencies_ns) {
-    sum += static_cast<double>(ns);
-  }
-  stats.mean_us = sum / static_cast<double>(latencies_ns.size()) / 1e3;
-  if (wall_seconds > 0.0) {
-    stats.decisions_per_sec = static_cast<double>(latencies_ns.size()) / wall_seconds;
-  }
-  return stats;
+  return true;
 }
 
 // One client worker: `requests` synchronous decisions over its own ring pair.
-void ServeClientWorker(const std::string& socket_path, int requests,
-                       std::vector<int64_t>* latencies_ns, std::atomic<uint64_t>* fallbacks) {
+void ServeClientWorker(const std::string& socket_path, int index, int requests,
+                       std::vector<double>* latencies_us, std::atomic<uint64_t>* fallbacks) {
   serve::ServeClientConfig config;
   config.socket_path = socket_path;
   config.rpc_timeout = Milliseconds(100);
@@ -192,21 +202,20 @@ void ServeClientWorker(const std::string& socket_path, int requests,
     fallbacks->fetch_add(static_cast<uint64_t>(requests));
     return;
   }
-  Rng rng(reinterpret_cast<uintptr_t>(latencies_ns));  // distinct per worker
-  latencies_ns->reserve(static_cast<size_t>(requests));
+  Rng rng(Rng::DeriveSeed(kServeClientSeedStream, static_cast<uint64_t>(index)));
+  latencies_us->reserve(static_cast<size_t>(requests));
   const std::vector<float> state = RandomState(&rng);
   for (int i = 0; i < requests; ++i) {
     const TimeNs t0 = ipc::MonotonicNowNs();
-    const std::optional<double> action = client->Request(state);
-    if (action.has_value()) {
-      latencies_ns->push_back(ipc::MonotonicNowNs() - t0);
+    if (client->Request(state).has_value()) {
+      latencies_us->push_back(MicrosSince(t0));
     } else {
       fallbacks->fetch_add(1);
     }
   }
 }
 
-int RunServingComparison(const std::string& json_path, bool quick) {
+int RunServingComparison(BenchRecord* record) {
   const std::string tag = std::to_string(getpid());
   const std::string model_path = "/tmp/astraea_bench_serve_" + tag + ".ckpt";
   const std::string socket_path = "/tmp/astraea_bench_serve_" + tag + ".sock";
@@ -217,7 +226,7 @@ int RunServingComparison(const std::string& json_path, bool quick) {
     writer.Flush();
   }
 
-  const int requests = quick ? 300 : 2000;
+  const int requests = record->quick() ? 300 : 2000;
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
   std::printf("\n-- serving comparison: %d requests/client, model 40x256x128x64x1, "
               "%u core(s) --\n",
@@ -230,23 +239,21 @@ int RunServingComparison(const std::string& json_path, bool quick) {
 
   // In-process dispatch baseline: the cost a sender pays when the model runs
   // inline in its own process.
-  LatencyStats in_process;
   {
     Mlp local = PaperActor();
     Rng rng(9);
     const std::vector<float> state = RandomState(&rng);
-    std::vector<int64_t> latencies;
+    std::vector<double> latencies;
     latencies.reserve(static_cast<size_t>(requests));
     const TimeNs start = ipc::MonotonicNowNs();
     for (int i = 0; i < requests; ++i) {
       const TimeNs t0 = ipc::MonotonicNowNs();
       benchmark::DoNotOptimize(local.Infer(state));
-      latencies.push_back(ipc::MonotonicNowNs() - t0);
+      latencies.push_back(MicrosSince(t0));
     }
-    in_process = Summarize(std::move(latencies), ToSeconds(ipc::MonotonicNowNs() - start), 0);
-    std::printf("in-process      p50 %7.1fus  p95 %7.1fus  p99 %7.1fus  %10.0f dec/s\n",
-                in_process.p50_us, in_process.p95_us, in_process.p99_us,
-                in_process.decisions_per_sec);
+    RecordLatencies(record, "in_process", "in-process", latencies,
+                    ToSeconds(ipc::MonotonicNowNs() - start));
+    std::printf("\n");
   }
 
   // A real separate server process, exactly as deployed.
@@ -267,94 +274,57 @@ int RunServingComparison(const std::string& json_path, bool quick) {
     _exit(0);
   }
 
-  const std::vector<int> client_counts = {1, 2, 4, 8, 16};
-  std::vector<LatencyStats> served;
-  for (const int clients : client_counts) {
-    std::vector<std::vector<int64_t>> latencies(static_cast<size_t>(clients));
-    std::atomic<uint64_t> fallbacks{0};
-    std::vector<std::thread> threads;
-    const TimeNs start = ipc::MonotonicNowNs();
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back(ServeClientWorker, socket_path, requests, &latencies[c], &fallbacks);
+  if (record->Check("server_accepts", ServerAccepts(socket_path), "handshake within 10 s")) {
+    bool no_fallbacks = true;
+    std::string fallback_counts;
+    for (const int clients : {1, 2, 4, 8, 16}) {
+      std::vector<std::vector<double>> latencies(static_cast<size_t>(clients));
+      std::atomic<uint64_t> fallbacks{0};
+      std::vector<std::thread> threads;
+      const TimeNs start = ipc::MonotonicNowNs();
+      for (int c = 0; c < clients; ++c) {
+        threads.emplace_back(ServeClientWorker, socket_path, c, requests, &latencies[c],
+                             &fallbacks);
+      }
+      for (std::thread& t : threads) {
+        t.join();
+      }
+      const double wall = ToSeconds(ipc::MonotonicNowNs() - start);
+      std::vector<double> all;
+      for (const auto& per_client : latencies) {
+        all.insert(all.end(), per_client.begin(), per_client.end());
+      }
+      const std::string key = "served." + std::to_string(clients);
+      const std::string label = "served x" + std::to_string(clients);
+      RecordLatencies(record, key, label.c_str(), all, wall);
+      const uint64_t fell_back = fallbacks.load();
+      record->Metric(key + ".fallbacks", static_cast<double>(fell_back), "count");
+      no_fallbacks &= fell_back == 0;
+      fallback_counts += (fallback_counts.empty() ? "x" : ", x") + std::to_string(clients) +
+                         " " + std::to_string(fell_back);
+      std::printf("  (%llu fallbacks)\n", static_cast<unsigned long long>(fell_back));
     }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-    const double wall = ToSeconds(ipc::MonotonicNowNs() - start);
-    std::vector<int64_t> all;
-    for (const auto& per_client : latencies) {
-      all.insert(all.end(), per_client.begin(), per_client.end());
-    }
-    served.push_back(Summarize(std::move(all), wall, fallbacks.load()));
-    const LatencyStats& s = served.back();
-    std::printf("served x%-2d      p50 %7.1fus  p95 %7.1fus  p99 %7.1fus  %10.0f dec/s"
-                "  (%llu fallbacks)\n",
-                clients, s.p50_us, s.p95_us, s.p99_us, s.decisions_per_sec,
-                static_cast<unsigned long long>(s.fallbacks));
+    record->Check("served.fallbacks_zero", no_fallbacks, fallback_counts);
   }
 
   kill(server_pid, SIGKILL);
   waitpid(server_pid, nullptr, 0);
   std::remove(model_path.c_str());
   unlink(socket_path.c_str());
-
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"model\": \"40x256x128x64x1\",\n"
-               "  \"host_cores\": %u,\n"
-               "  \"requests_per_client\": %d,\n"
-               "  \"in_process\": {\"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": %.2f, "
-               "\"mean_us\": %.2f, \"decisions_per_sec\": %.0f},\n"
-               "  \"served\": [\n",
-               host_cores, requests, in_process.p50_us, in_process.p95_us,
-               in_process.p99_us, in_process.mean_us, in_process.decisions_per_sec);
-  for (size_t i = 0; i < served.size(); ++i) {
-    const LatencyStats& s = served[i];
-    std::fprintf(out,
-                 "    {\"clients\": %d, \"p50_us\": %.2f, \"p95_us\": %.2f, "
-                 "\"p99_us\": %.2f, \"mean_us\": %.2f, \"decisions_per_sec\": %.0f, "
-                 "\"fallbacks\": %llu}%s\n",
-                 client_counts[i], s.p50_us, s.p95_us, s.p99_us, s.mean_us,
-                 s.decisions_per_sec, static_cast<unsigned long long>(s.fallbacks),
-                 i + 1 < served.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
+  return record->Finish();
 }
 
 }  // namespace
 }  // namespace astraea
 
 int main(int argc, char** argv) {
-  // Strip our serving flags before google-benchmark parses the rest.
-  std::string serve_json;
-  bool serve_quick = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--serve-json=", 13) == 0) {
-      serve_json = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--serve-quick") == 0) {
-      serve_quick = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  // google-benchmark removes its own flags; the record reads the rest.
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+  astraea::BenchRecord record("fig16_serve", argc, argv, {"--serve"});
+  if (!record.args_ok()) {
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!serve_json.empty()) {
-    return astraea::RunServingComparison(serve_json, serve_quick);
-  }
-  return 0;
+  return record.Has("--serve") ? astraea::RunServingComparison(&record) : 0;
 }

@@ -4,19 +4,19 @@
 // inference-service cost, and parallel experiment harness scenario throughput
 // (1 worker vs all cores).
 //
-// Prints a table and emits BENCH_kernels.json (override with --out=PATH) so
-// successive PRs can track the numbers. `--quick` shrinks the harness stage.
+// Prints the record's metrics and writes it to BENCH_kernels.json (--out PATH
+// overrides) so successive changes can track the numbers. The record holds no
+// checks: these numbers are a trajectory, not a gate. `--quick` shrinks the
+// harness stage.
 
 #include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "bench/harness/experiments.h"
 #include "src/core/inference_service.h"
+#include "src/eval/bench_record.h"
 #include "src/eval/table.h"
 #include "src/rl/replay_buffer.h"
 #include "src/rl/td3.h"
@@ -105,13 +105,10 @@ ReplayBuffer MakeBuffer(uint64_t seed) {
 }
 
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_kernels.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
+  BenchRecord record("kernels", argc, argv);
+  if (!record.args_ok()) {
+    return 1;
   }
-  const bool quick = QuickMode(argc, argv);
   PrintBenchHeader("Kernels", "Batched NN kernel and parallel-harness performance");
 
   // ---- Per-step actor inference (the Fig. 16 tens-of-microseconds budget).
@@ -121,7 +118,7 @@ int Main(int argc, char** argv) {
   for (auto& v : state) {
     v = static_cast<float>(data_rng.Uniform(0.0, 2.0));
   }
-  const double infer_s = TimePerCall(0.3, [&] { actor.Infer(state); });
+  record.Metric("actor_infer_us", TimePerCall(0.3, [&] { actor.Infer(state); }) * 1e6, "us");
 
   // ---- Batched forward, per row at the training batch size.
   std::vector<float> batch_states(kTrainBatch * kLocalDim);
@@ -130,13 +127,14 @@ int Main(int argc, char** argv) {
   }
   const double fwd_batch_s =
       TimePerCall(0.3, [&] { actor.ForwardBatch(batch_states, kTrainBatch); });
+  record.Metric("actor_forward_batch256_us_per_row", fwd_batch_s * 1e6 / kTrainBatch, "us");
 
   // ---- Inference per row across batch sizes, on the allocation-free path.
-  std::vector<double> sweep_us_per_row;
   for (const size_t batch : kSweepBatches) {
     const std::span<const float> rows(batch_states.data(), batch * kLocalDim);
     const double s = TimePerCall(0.2, [&] { actor.InferBatchSpan(rows, batch); });
-    sweep_us_per_row.push_back(s * 1e6 / static_cast<double>(batch));
+    record.Metric("actor_infer_batch_us_per_row." + std::to_string(batch),
+                  s * 1e6 / static_cast<double>(batch), "us");
   }
 
   // ---- Inference-service flush at 256 pending flows.
@@ -150,6 +148,7 @@ int Main(int argc, char** argv) {
     }
     service.Flush();
   });
+  record.Metric("service_flush256_us_per_flow", flush_s * 1e6 / kTrainBatch, "us");
 
   // ---- TD3 training throughput: batched kernels vs per-sample reference.
   Td3Trainer batched = MakeTrainer(3);
@@ -161,14 +160,16 @@ int Main(int argc, char** argv) {
   Rng rng_reference(5);
   const double update_reference_s =
       TimePerCall(1.0, [&] { reference.UpdateReference(buffer, &rng_reference); });
-  const double td3_speedup = update_reference_s / update_batched_s;
+  record.Metric("td3_updates_per_sec_batched", 1.0 / update_batched_s, "updates/s");
+  record.Metric("td3_updates_per_sec_reference", 1.0 / update_reference_s, "updates/s");
+  record.Metric("td3_batched_speedup", update_reference_s / update_batched_s, "x");
 
   // ---- Harness scenario throughput: 8 staggered-scenario reps, 1 worker vs
   // every core (astraea flows, so the NN inference path is exercised too).
   StaggeredConfig config = DefaultStaggeredConfig();
-  config.start_interval = Seconds(quick ? 3.0 : 6.0);
-  config.flow_duration = Seconds(quick ? 9.0 : 18.0);
-  config.until = Seconds(quick ? 15.0 : 30.0);
+  config.start_interval = Seconds(record.quick() ? 3.0 : 6.0);
+  config.flow_duration = Seconds(record.quick() ? 9.0 : 18.0);
+  config.until = Seconds(record.quick() ? 15.0 : 30.0);
   const int harness_reps = 8;
   const size_t cores = ThreadPool::DefaultWorkerCount();
 
@@ -179,67 +180,15 @@ int Main(int argc, char** argv) {
   CollectJainSamples("astraea", config, harness_reps, /*workers=*/cores);
   const double parallel_s = SecondsSince(parallel_start);
   const double harness_speedup = serial_s / parallel_s;
-  const double scaling_efficiency =
-      harness_speedup / static_cast<double>(std::min<size_t>(cores, harness_reps));
-
-  ConsoleTable table({"metric", "value"});
-  table.AddRow({"actor inference (us/step)", ConsoleTable::Num(infer_s * 1e6)});
-  table.AddRow({"actor ForwardBatch-256 (us/row)",
-                ConsoleTable::Num(fwd_batch_s * 1e6 / kTrainBatch)});
-  for (size_t i = 0; i < std::size(kSweepBatches); ++i) {
-    table.AddRow({"actor InferBatch-" + std::to_string(kSweepBatches[i]) + " (us/row)",
-                  ConsoleTable::Num(sweep_us_per_row[i])});
-  }
-  table.AddRow({"service flush-256 (us/flow)",
-                ConsoleTable::Num(flush_s * 1e6 / kTrainBatch)});
-  table.AddRow({"TD3 updates/s (batched, B=256)", ConsoleTable::Num(1.0 / update_batched_s, 1)});
-  table.AddRow(
-      {"TD3 updates/s (reference, B=256)", ConsoleTable::Num(1.0 / update_reference_s, 1)});
-  table.AddRow({"TD3 batched speedup", ConsoleTable::Num(td3_speedup)});
-  table.AddRow({"harness 8 reps, 1 worker (s)", ConsoleTable::Num(serial_s)});
-  table.AddRow({"harness 8 reps, " + std::to_string(cores) + " workers (s)",
-                ConsoleTable::Num(parallel_s)});
-  table.AddRow({"harness scaling efficiency", ConsoleTable::Num(scaling_efficiency)});
-  table.Print();
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::string sweep_json;
-  for (size_t i = 0; i < std::size(kSweepBatches); ++i) {
-    char entry[64];
-    std::snprintf(entry, sizeof(entry), "%s\"%zu\": %.4f", i == 0 ? "" : ", ",
-                  kSweepBatches[i], sweep_us_per_row[i]);
-    sweep_json += entry;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"host_cores\": %zu,\n"
-               "  \"actor_infer_us\": %.3f,\n"
-               "  \"actor_forward_batch256_us_per_row\": %.4f,\n"
-               "  \"actor_infer_batch_us_per_row\": {%s},\n"
-               "  \"service_flush256_us_per_flow\": %.4f,\n"
-               "  \"td3_updates_per_sec_batched\": %.2f,\n"
-               "  \"td3_updates_per_sec_reference\": %.2f,\n"
-               "  \"td3_batched_speedup\": %.3f,\n"
-               "  \"harness\": {\n"
-               "    \"reps\": %d,\n"
-               "    \"workers\": %zu,\n"
-               "    \"serial_seconds\": %.3f,\n"
-               "    \"parallel_seconds\": %.3f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"scaling_efficiency\": %.3f\n"
-               "  }\n"
-               "}\n",
-               cores, infer_s * 1e6, fwd_batch_s * 1e6 / kTrainBatch, sweep_json.c_str(),
-               flush_s * 1e6 / kTrainBatch, 1.0 / update_batched_s,
-               1.0 / update_reference_s, td3_speedup, harness_reps, cores, serial_s,
-               parallel_s, harness_speedup, scaling_efficiency);
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  record.Metric("harness.workers", static_cast<double>(cores), "count");
+  record.Metric("harness.serial_seconds", serial_s, "s");
+  record.Metric("harness.parallel_seconds", parallel_s, "s");
+  record.Metric("harness.speedup", harness_speedup, "x");
+  record.Metric("harness.scaling_efficiency",
+                harness_speedup / static_cast<double>(std::min<size_t>(cores, harness_reps)),
+                "ratio");
+  record.PrintMetrics();
+  return record.Finish();
 }
 
 }  // namespace

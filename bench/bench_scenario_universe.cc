@@ -11,16 +11,20 @@
 //
 // Every family also runs the 1-vs-N-worker sharded fingerprint check, and
 // the process-wide invariant-violation counter is reported (CI runs this
-// under ASTRAEA_CHECK_INVARIANTS=1 and asserts zero). Prints tables and
-// emits BENCH_scenario_universe.json (--out=PATH overrides); --quick shrinks
-// every axis for CI smoke; --traces=DIR overrides the bundled trace dir.
+// under ASTRAEA_CHECK_INVARIANTS=1). Prints tables and writes the record to
+// BENCH_scenario_universe.json (--out PATH overrides). Five checks fail the
+// run: an invariant violation, a 1-vs-N fingerprint mismatch, a family not
+// run, an empty competition matrix, or a harm index outside [0, 1]. --quick
+// shrinks every axis for CI smoke; --traces DIR overrides the bundled trace
+// dir.
 
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/eval/bench_record.h"
 #include "src/eval/scenario_universe.h"
 #include "src/eval/table.h"
 #include "src/eval/window_metrics.h"
@@ -48,21 +52,6 @@ struct FamilyRow {
   size_t churn_flows = 0;
 };
 
-struct PairRow {
-  std::string a, b;
-  double thr_a = 0.0, thr_b = 0.0;
-  double jain = 0.0;
-  double worst_flow_share = 0.0;
-  double harm_a_on_b = 0.0;  // harm inflicted on b by competing with a
-  double harm_b_on_a = 0.0;
-};
-
-struct DeterminismRow {
-  std::string family;
-  bool match = false;
-  uint64_t fingerprint = 0;
-};
-
 // One dumbbell competition run: one flow of `a` vs one flow of `b` (fig14's
 // setup generalized to the full matrix). Returns mean throughputs in flow
 // order.
@@ -83,16 +72,13 @@ std::pair<double, double> RunPair(const std::string& a, const std::string& b, Ti
 }
 
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_scenario_universe.json";
-  std::string traces_dir = std::string(ASTRAEA_SOURCE_DIR) + "/traces";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--traces=", 9) == 0) {
-      traces_dir = argv[i] + 9;
-    }
+  BenchRecord record("scenario_universe", argc, argv, {}, {"--traces"});
+  if (!record.args_ok()) {
+    return 1;
   }
-  const bool quick = QuickMode(argc, argv);
+  const bool quick = record.quick();
+  const std::string traces_dir =
+      record.Value("--traces", std::string(ASTRAEA_SOURCE_DIR) + "/traces");
   PrintBenchHeader("ScenarioUniverse",
                    "Datacenter incast, trace-driven links, adversarial mixes");
   const uint64_t violations_before = invariants::ViolationCount();
@@ -121,10 +107,11 @@ int Main(int argc, char** argv) {
       row.ecn_marked = result.ecn_marked;
       rows.push_back(row);
       std::printf("  incast fan-in %2zu %-8s (%s): %zu/%zu done, p95 FCT %7.1f ms,"
-                  " loss %5.2f%%, %llu marks\n",
+                  " loss %5.2f%%, %llu marks (%016llx)\n",
                   fan_in, config.scheme.c_str(), ecn ? "ecn" : "droptail", result.completed,
                   result.requests, result.p95_fct_ms, 100.0 * result.metrics.loss_ratio,
-                  static_cast<unsigned long long>(result.ecn_marked));
+                  static_cast<unsigned long long>(result.ecn_marked),
+                  static_cast<unsigned long long>(result.metrics.fingerprint));
       std::fflush(stdout);
     }
   }
@@ -156,9 +143,11 @@ int Main(int argc, char** argv) {
       row.scheme = scheme;
       row.metrics = result.metrics;
       rows.push_back(row);
-      std::printf("  trace %-9s %-8s: util %5.1f%%, p95 delay %7.1f ms, loss %5.2f%%\n",
+      std::printf("  trace %-9s %-8s: util %5.1f%%, p95 delay %7.1f ms, loss %5.2f%%"
+                  " (%016llx)\n",
                   name.c_str(), scheme.c_str(), 100.0 * result.metrics.utilization,
-                  result.metrics.p95_delay_ms, 100.0 * result.metrics.loss_ratio);
+                  result.metrics.p95_delay_ms, 100.0 * result.metrics.loss_ratio,
+                  static_cast<unsigned long long>(result.metrics.fingerprint));
       std::fflush(stdout);
     }
   }
@@ -182,9 +171,10 @@ int Main(int argc, char** argv) {
     row.churn_flows = result.churn_flows;
     rows.push_back(row);
     std::printf("  adversarial %-8s: fg goodput %6.1f Mbps, jain %.3f, p95 delay %7.1f ms,"
-                " blast share %4.1f%%, %zu churn flows\n",
+                " blast share %4.1f%%, %zu churn flows (%016llx)\n",
                 scheme.c_str(), result.metrics.goodput_mbps, result.metrics.jain,
-                result.metrics.p95_delay_ms, 100.0 * result.blast_share, result.churn_flows);
+                result.metrics.p95_delay_ms, 100.0 * result.blast_share, result.churn_flows,
+                static_cast<unsigned long long>(result.metrics.fingerprint));
     std::fflush(stdout);
   }
 
@@ -199,39 +189,50 @@ int Main(int argc, char** argv) {
   for (const std::string& s : matrix_schemes) {
     const auto [x, y] = RunPair(s, s, pair_duration, 900);
     baseline[s] = (x + y) / 2.0;
+    record.Metric("competition.baselines." + s, baseline[s], "Mbps");
     std::printf("  matrix baseline %-8s: %6.1f Mbps self-competition share\n", s.c_str(),
                 baseline[s]);
     std::fflush(stdout);
   }
-  std::vector<PairRow> pairs;
+  size_t pairs = 0;
+  bool harm_ok = true;
+  std::string harms;
   for (size_t i = 0; i < matrix_schemes.size(); ++i) {
     for (size_t j = i + 1; j < matrix_schemes.size(); ++j) {
       const std::string& a = matrix_schemes[i];
       const std::string& b = matrix_schemes[j];
       const auto [thr_a, thr_b] = RunPair(a, b, pair_duration, 900);
-      PairRow row;
-      row.a = a;
-      row.b = b;
-      row.thr_a = thr_a;
-      row.thr_b = thr_b;
       const std::vector<double> thr = {thr_a, thr_b};
-      row.jain = JainIndex(thr);
-      row.worst_flow_share = WorstFlowShare(thr);
-      row.harm_a_on_b = HarmIndex(baseline[b], thr_b);
-      row.harm_b_on_a = HarmIndex(baseline[a], thr_a);
-      pairs.push_back(row);
+      const double jain = JainIndex(thr);
+      const double worst = WorstFlowShare(thr);
+      const double harm_a_on_b = HarmIndex(baseline[b], thr_b);
+      const double harm_b_on_a = HarmIndex(baseline[a], thr_a);
+      const std::string key = "competition.pairs." + a + "_vs_" + b + ".";
+      record.Metric(key + "thr_a_mbps", thr_a, "Mbps");
+      record.Metric(key + "thr_b_mbps", thr_b, "Mbps");
+      record.Metric(key + "jain", jain, "ratio");
+      record.Metric(key + "worst_flow_share", worst, "ratio");
+      record.Metric(key + "harm_a_on_b", harm_a_on_b, "ratio");
+      record.Metric(key + "harm_b_on_a", harm_b_on_a, "ratio");
+      ++pairs;
+      for (const double harm : {harm_a_on_b, harm_b_on_a}) {
+        harm_ok &= harm >= 0.0 && harm <= 1.0;
+      }
+      harms += (harms.empty() ? "" : ", ") + a + "_vs_" + b + " " +
+               ConsoleTable::Num(harm_a_on_b) + "/" + ConsoleTable::Num(harm_b_on_a);
       std::printf("  matrix %-8s vs %-8s: %6.1f / %6.1f Mbps, jain %.3f, worst %.2f,"
                   " harm %.2f/%.2f\n",
-                  a.c_str(), b.c_str(), thr_a, thr_b, row.jain, row.worst_flow_share,
-                  row.harm_a_on_b, row.harm_b_on_a);
+                  a.c_str(), b.c_str(), thr_a, thr_b, jain, worst, harm_a_on_b, harm_b_on_a);
       std::fflush(stdout);
     }
   }
+  record.Check("competition.pairs_nonempty", pairs > 0, "pairs: " + std::to_string(pairs));
+  record.Check("competition.harm_in_unit_interval", harm_ok, harms);
 
   // ---- Worker invariance: every family's sharded aggregate must be
   // bit-identical at 1 and N workers (the PR-6 shard protocol).
-  std::vector<DeterminismRow> determinism;
   bool determinism_ok = true;
+  std::string fingerprints;
   for (const UniverseFamily family :
        {UniverseFamily::kIncast, UniverseFamily::kTraceDriven, UniverseFamily::kAdversarial}) {
     ShardedUniverseConfig config;
@@ -247,90 +248,55 @@ int Main(int argc, char** argv) {
     const ShardedRunResult serial = RunShardedUniverse(config);
     config.workers = ThreadPool::DefaultWorkerCount();
     const ShardedRunResult parallel = RunShardedUniverse(config);
-    DeterminismRow row;
-    row.family = UniverseFamilyName(family);
-    row.match = serial.fingerprint == parallel.fingerprint &&
-                serial.events_executed == parallel.events_executed;
-    row.fingerprint = serial.fingerprint;
-    determinism.push_back(row);
-    determinism_ok = determinism_ok && row.match;
-    std::printf("  determinism %-12s: %s (%016llx)\n", row.family.c_str(),
-                row.match ? "bit-identical" : "DIVERGED",
-                static_cast<unsigned long long>(row.fingerprint));
+    const bool match = serial.fingerprint == parallel.fingerprint &&
+                       serial.events_executed == parallel.events_executed;
+    determinism_ok &= match;
+    const auto fingerprint = static_cast<unsigned long long>(serial.fingerprint);
+    char entry[64];
+    std::snprintf(entry, sizeof(entry), "%s%s %016llx%s", fingerprints.empty() ? "" : ", ",
+                  UniverseFamilyName(family), fingerprint, match ? "" : " DIVERGED");
+    fingerprints += entry;
+    std::printf("  determinism %-12s: %s (%016llx)\n", UniverseFamilyName(family),
+                match ? "bit-identical" : "DIVERGED", fingerprint);
     std::fflush(stdout);
   }
+  record.Check("determinism.fingerprint_match", determinism_ok, fingerprints);
 
   const uint64_t violations = invariants::ViolationCount() - violations_before;
+  record.Metric("invariant_violations", static_cast<double>(violations), "count");
+  record.Check("invariant_violations_zero", violations == 0, std::to_string(violations));
 
   ConsoleTable table({"family", "scenario", "scheme", "util", "jain", "p95 ms", "loss"});
+  std::set<std::string> families;
   for (const FamilyRow& row : rows) {
     table.AddRow({row.family, row.scenario, row.scheme,
                   ConsoleTable::Num(row.metrics.utilization, 3),
                   ConsoleTable::Num(row.metrics.jain, 3),
                   ConsoleTable::Num(row.metrics.p95_delay_ms, 1),
                   ConsoleTable::Num(row.metrics.loss_ratio, 4)});
+    families.insert(row.family);
+    const std::string key = "families." + row.family + "." + row.scenario + "." + row.scheme + ".";
+    record.Metric(key + "utilization", row.metrics.utilization, "ratio");
+    record.Metric(key + "jain", row.metrics.jain, "ratio");
+    record.Metric(key + "p95_delay_ms", row.metrics.p95_delay_ms, "ms");
+    record.Metric(key + "loss_ratio", row.metrics.loss_ratio, "ratio");
+    record.Metric(key + "goodput_mbps", row.metrics.goodput_mbps, "Mbps");
+    record.Metric(key + "requests", static_cast<double>(row.requests), "count");
+    record.Metric(key + "completed", static_cast<double>(row.completed), "count");
+    record.Metric(key + "p95_fct_ms", row.p95_fct_ms, "ms");
+    record.Metric(key + "ecn_marked", static_cast<double>(row.ecn_marked), "count");
+    record.Metric(key + "blast_share", row.blast_share, "ratio");
+    record.Metric(key + "churn_flows", static_cast<double>(row.churn_flows), "count");
   }
   table.Print();
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::string covered;
+  for (const std::string& family : families) {
+    covered += (covered.empty() ? "" : " ") + family;
   }
-  std::fprintf(out, "{\n  \"quick\": %s,\n  \"families\": [\n", quick ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const FamilyRow& row = rows[i];
-    std::fprintf(out,
-                 "    {\"family\": \"%s\", \"scenario\": \"%s\", \"scheme\": \"%s\",\n"
-                 "     \"utilization\": %.4f, \"jain\": %.4f, \"p95_delay_ms\": %.2f,"
-                 " \"loss_ratio\": %.5f, \"goodput_mbps\": %.2f,\n"
-                 "     \"requests\": %zu, \"completed\": %zu, \"p95_fct_ms\": %.2f,"
-                 " \"ecn_marked\": %llu, \"blast_share\": %.4f, \"churn_flows\": %zu,\n"
-                 "     \"fingerprint\": \"%016llx\"}%s\n",
-                 row.family.c_str(), row.scenario.c_str(), row.scheme.c_str(),
-                 row.metrics.utilization, row.metrics.jain, row.metrics.p95_delay_ms,
-                 row.metrics.loss_ratio, row.metrics.goodput_mbps, row.requests, row.completed,
-                 row.p95_fct_ms, static_cast<unsigned long long>(row.ecn_marked),
-                 row.blast_share, row.churn_flows,
-                 static_cast<unsigned long long>(row.metrics.fingerprint),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"competition\": {\n    \"baselines\": {");
-  bool first = true;
-  for (const auto& [scheme, mbps] : baseline) {
-    std::fprintf(out, "%s\"%s\": %.2f", first ? "" : ", ", scheme.c_str(), mbps);
-    first = false;
-  }
-  std::fprintf(out, "},\n    \"pairs\": [\n");
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const PairRow& row = pairs[i];
-    std::fprintf(out,
-                 "      {\"a\": \"%s\", \"b\": \"%s\", \"thr_a_mbps\": %.2f,"
-                 " \"thr_b_mbps\": %.2f, \"jain\": %.4f, \"worst_flow_share\": %.4f,"
-                 " \"harm_a_on_b\": %.4f, \"harm_b_on_a\": %.4f}%s\n",
-                 row.a.c_str(), row.b.c_str(), row.thr_a, row.thr_b, row.jain,
-                 row.worst_flow_share, row.harm_a_on_b, row.harm_b_on_a,
-                 i + 1 < pairs.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]\n  },\n  \"determinism\": [\n");
-  for (size_t i = 0; i < determinism.size(); ++i) {
-    const DeterminismRow& row = determinism[i];
-    std::fprintf(out,
-                 "    {\"family\": \"%s\", \"fingerprint_match\": %s,"
-                 " \"fingerprint\": \"%016llx\"}%s\n",
-                 row.family.c_str(), row.match ? "true" : "false",
-                 static_cast<unsigned long long>(row.fingerprint),
-                 i + 1 < determinism.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"invariant_violations\": %llu\n}\n",
-               static_cast<unsigned long long>(violations));
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  if (violations > 0) {
-    std::fprintf(stderr, "invariant violations observed: %llu\n",
-                 static_cast<unsigned long long>(violations));
-  }
-  return (determinism_ok && violations == 0) ? 0 : 1;
+  record.Check("families_covered",
+               families == std::set<std::string>{"datacenter", "trace_driven", "adversarial"},
+               covered);
+  return record.Finish();
 }
 
 }  // namespace

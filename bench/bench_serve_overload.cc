@@ -15,7 +15,10 @@
 //      with self-healing RemotePolicy clients — reconnect counts, fallback
 //      decisions, and the max decision latency against the soak budget.
 //
-// Emits BENCH_serve_overload.json (path via --out) for CI assertions.
+// Writes the record to BENCH_serve_overload.json (--out PATH overrides).
+// Seven checks fail the run: at 4x no sheds or a shed p95 at or above 10% of
+// the rpc timeout; any deadline violation; and in the chaos phase no
+// restart, no reconnect, a budget violation or a client left detached.
 
 #include <sys/resource.h>
 #include <sys/syscall.h>
@@ -25,13 +28,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/policy.h"
+#include "src/eval/bench_record.h"
 #include "src/eval/table.h"
 #include "src/ipc/shm_ring.h"
 #include "src/nn/mlp.h"
@@ -42,6 +45,7 @@
 #include "src/util/metrics.h"
 #include "src/util/rng.h"
 #include "src/util/serialization.h"
+#include "src/util/stats.h"
 #include "src/util/time.h"
 
 namespace astraea {
@@ -91,18 +95,6 @@ size_t RaiseFdLimit() {
   setrlimit(RLIMIT_NOFILE, &rl);
   getrlimit(RLIMIT_NOFILE, &rl);
   return static_cast<size_t>(rl.rlim_cur);
-}
-
-double Percentile(std::vector<double> v, double q) {
-  if (v.empty()) {
-    return 0.0;
-  }
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
 class ConstantPolicy : public Policy {
@@ -220,11 +212,11 @@ LoadPoint RunLoadPoint(std::vector<std::unique_ptr<ServeClient>>& clients, doubl
   }
   const double window_s = ToSeconds(until - cutoff);
   point.achieved_rps = window_s > 0 ? static_cast<double>(point.attempts) / window_s : 0.0;
-  point.served_p50 = Percentile(served_lat, 0.50);
-  point.served_p95 = Percentile(served_lat, 0.95);
-  point.served_p99 = Percentile(served_lat, 0.99);
-  point.shed_p50 = Percentile(shed_lat, 0.50);
-  point.shed_p95 = Percentile(shed_lat, 0.95);
+  point.served_p50 = Percentile(served_lat, 50.0);
+  point.served_p95 = Percentile(served_lat, 95.0);
+  point.served_p99 = Percentile(served_lat, 99.0);
+  point.shed_p50 = Percentile(shed_lat, 50.0);
+  point.shed_p95 = Percentile(shed_lat, 95.0);
   return point;
 }
 
@@ -357,15 +349,13 @@ ChaosResult RunChaosPhase(const std::string& model_path, TimeNs storm_duration,
 }
 
 int Main(int argc, char** argv) {
+  BenchRecord record("serve_overload", argc, argv);
+  if (!record.args_ok()) {
+    return 1;
+  }
   PrintBenchHeader("serve_overload",
                    "serving boundary under overload (admission shed) and chaos (self-healing)");
-  const bool quick = QuickMode(argc, argv);
-  std::string out_path = "BENCH_serve_overload.json";
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = argv[i + 1];
-    }
-  }
+  const bool quick = record.quick();
 
   // clients >> 27 * max_batch so the shed threshold (~27 queued batches, set
   // by the rpc-timeout derivation and shed margin below) is reachable by the
@@ -489,10 +479,26 @@ int Main(int argc, char** argv) {
   for (const double mult : {1.0, 2.0, 4.0}) {
     points.push_back(RunLoadPoint(clients, mult, capacity_rps, point_duration, rpc_timeout));
     const LoadPoint& p = points.back();
-    table.AddRow({ConsoleTable::Num(p.multiplier, 0) + "x", ConsoleTable::Num(p.offered_rps, 0),
-                  std::to_string(p.served), std::to_string(p.shed), std::to_string(p.timeouts),
+    const std::string load = ConsoleTable::Num(p.multiplier, 0) + "x";
+    table.AddRow({load, ConsoleTable::Num(p.offered_rps, 0), std::to_string(p.served),
+                  std::to_string(p.shed), std::to_string(p.timeouts),
                   ConsoleTable::Num(p.served_p95 * 1e3, 2),
                   ConsoleTable::Num(p.shed_p95 * 1e3, 2)});
+    const std::string key = "load_points." + load + ".";
+    record.Metric(key + "offered_rps", p.offered_rps, "req/s");
+    record.Metric(key + "achieved_rps", p.achieved_rps, "req/s");
+    record.Metric(key + "attempts", static_cast<double>(p.attempts), "count");
+    record.Metric(key + "served", static_cast<double>(p.served), "count");
+    record.Metric(key + "shed", static_cast<double>(p.shed), "count");
+    record.Metric(key + "timeouts", static_cast<double>(p.timeouts), "count");
+    record.Metric(key + "errors", static_cast<double>(p.errors), "count");
+    record.Metric(key + "deadline_violations", static_cast<double>(p.deadline_violations),
+                  "count");
+    record.Metric(key + "served_latency_s.p50", p.served_p50, "s");
+    record.Metric(key + "served_latency_s.p95", p.served_p95, "s");
+    record.Metric(key + "served_latency_s.p99", p.served_p99, "s");
+    record.Metric(key + "shed_latency_s.p50", p.shed_p50, "s");
+    record.Metric(key + "shed_latency_s.p95", p.shed_p95, "s");
   }
   table.Print();
 
@@ -513,54 +519,44 @@ int Main(int argc, char** argv) {
               chaos.budget_s * 1e3, static_cast<unsigned long long>(chaos.budget_violations),
               chaos.all_reattached ? "" : " (NOT all re-attached)");
 
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  record.Metric("clients", static_cast<double>(attached), "count");
+  record.Metric("capacity_rps", capacity_rps, "req/s");
+  record.Metric("flush_est_s", flush_est_s, "s");
+  record.Metric("rpc_timeout_s", ToSeconds(rpc_timeout), "s");
+  record.Metric("chaos.restarts", static_cast<double>(chaos.restarts), "count");
+  record.Metric("chaos.reconnects", static_cast<double>(chaos.reconnects), "count");
+  record.Metric("chaos.decisions", static_cast<double>(chaos.decisions), "count");
+  record.Metric("chaos.fallback_decisions", static_cast<double>(chaos.fallback_decisions),
+                "count");
+  record.Metric("chaos.budget_violations", static_cast<double>(chaos.budget_violations),
+                "count");
+  record.Metric("chaos.max_decision_s", chaos.max_decision_s, "s");
+  record.Metric("chaos.decision_budget_s", chaos.budget_s, "s");
+
+  const LoadPoint& at4 = points.back();
+  const double shed_budget_s = 0.1 * ToSeconds(rpc_timeout);
+  record.Check("load_points.4x.shed_nonzero", at4.shed > 0, std::to_string(at4.shed) + " shed");
+  record.Check("load_points.4x.shed_p95_under_10pct_rpc_timeout", at4.shed_p95 < shed_budget_s,
+               ConsoleTable::Num(at4.shed_p95 * 1e3) + " ms vs " +
+                   ConsoleTable::Num(shed_budget_s * 1e3) + " ms");
+  bool on_time = true;
+  std::string late;
+  for (const LoadPoint& p : points) {
+    on_time &= p.deadline_violations == 0;
+    late += ConsoleTable::Num(p.multiplier, 0) + "x " + std::to_string(p.deadline_violations) +
+            (&p == &points.back() ? "" : ", ");
   }
-  std::fprintf(out, "{\n  \"bench\": \"serve_overload\",\n  \"quick\": %s,\n",
-               quick ? "true" : "false");
-  std::fprintf(out, "  \"clients\": %zu,\n  \"max_batch\": %zu,\n", attached, max_batch);
-  std::fprintf(out, "  \"capacity_rps\": %.1f,\n  \"flush_est_s\": %.6f,\n", capacity_rps,
-               flush_est_s);
-  std::fprintf(out, "  \"rpc_timeout_s\": %.6f,\n  \"load_points\": [\n",
-               ToSeconds(rpc_timeout));
-  for (size_t i = 0; i < points.size(); ++i) {
-    const LoadPoint& p = points[i];
-    std::fprintf(out,
-                 "    {\"multiplier\": %.0f, \"offered_rps\": %.1f, \"achieved_rps\": %.1f,\n"
-                 "     \"attempts\": %llu, \"served\": %llu, \"shed\": %llu, "
-                 "\"timeouts\": %llu, \"errors\": %llu,\n"
-                 "     \"deadline_violations\": %llu,\n"
-                 "     \"served_latency_s\": {\"p50\": %.6f, \"p95\": %.6f, \"p99\": %.6f},\n"
-                 "     \"shed_latency_s\": {\"p50\": %.6f, \"p95\": %.6f}}%s\n",
-                 p.multiplier, p.offered_rps, p.achieved_rps,
-                 static_cast<unsigned long long>(p.attempts),
-                 static_cast<unsigned long long>(p.served),
-                 static_cast<unsigned long long>(p.shed),
-                 static_cast<unsigned long long>(p.timeouts),
-                 static_cast<unsigned long long>(p.errors),
-                 static_cast<unsigned long long>(p.deadline_violations), p.served_p50,
-                 p.served_p95, p.served_p99, p.shed_p50, p.shed_p95,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"chaos\": {\"restarts\": %llu, \"reconnects\": %llu, "
-               "\"decisions\": %llu, \"fallback_decisions\": %llu,\n"
-               "    \"budget_violations\": %llu, \"max_decision_s\": %.6f, "
-               "\"decision_budget_s\": %.6f, \"all_reattached\": %s}\n}\n",
-               static_cast<unsigned long long>(chaos.restarts),
-               static_cast<unsigned long long>(chaos.reconnects),
-               static_cast<unsigned long long>(chaos.decisions),
-               static_cast<unsigned long long>(chaos.fallback_decisions),
-               static_cast<unsigned long long>(chaos.budget_violations), chaos.max_decision_s,
-               chaos.budget_s, chaos.all_reattached ? "true" : "false");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path.c_str());
+  record.Check("load_points.deadline_violations_zero", on_time, late);
+  record.Check("chaos.restarts_nonzero", chaos.restarts > 0, std::to_string(chaos.restarts));
+  record.Check("chaos.reconnects_nonzero", chaos.reconnects > 0,
+               std::to_string(chaos.reconnects));
+  record.Check("chaos.budget_violations_zero", chaos.budget_violations == 0,
+               std::to_string(chaos.budget_violations));
+  record.Check("chaos.all_reattached", chaos.all_reattached);
 
   std::remove(model_path.c_str());
   std::remove(socket_path.c_str());
-  return 0;
+  return record.Finish();
 }
 
 }  // namespace

@@ -14,17 +14,20 @@
 //     flow-seconds/sec, plus a 1-vs-N-worker fingerprint check proving the
 //     sharded aggregate is worker-count invariant.
 //
-// Prints a table and emits BENCH_sim_scale.json (--out=PATH overrides).
-// `--quick` restricts both parts to the 1k/10k sizes for CI smoke.
+// Prints the record's metrics and writes it to BENCH_sim_scale.json (--out
+// PATH overrides). Three checks fail the run: the 1-vs-4-worker fingerprints
+// differ, the two schedulers' digests differ where neither was capped, or an
+// rto_churn speedup is 5x or less. `--quick` restricts both parts to the
+// 1k/10k sizes for CI smoke.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/harness/heap_event_queue.h"
+#include "src/eval/bench_record.h"
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
 #include "src/sim/event_queue.h"
@@ -129,36 +132,18 @@ SchedulerRun DriveScheduler(size_t flows, uint64_t target, double wall_cap_s,
   return run;
 }
 
-struct SchedulerRow {
-  size_t flows = 0;
-  const char* workload = nullptr;
-  SchedulerRun calendar;
-  SchedulerRun seed_heap;
-  double speedup = 0.0;
-  bool digest_match = false;  // only meaningful when neither run was capped
-};
-
-struct EndToEndRow {
-  size_t total_flows = 0;
-  size_t shards = 0;
-  size_t flows_per_shard = 0;
-  double sim_seconds = 0.0;
-  double wall_seconds = 0.0;
-  uint64_t events = 0;
-  double events_per_sec = 0.0;
-  double flow_seconds_per_sec = 0.0;
-  size_t max_packet_slots = 0;
-  uint64_t fingerprint = 0;
-};
+std::string Hex(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
 
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_sim_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
+  BenchRecord record("sim_scale", argc, argv);
+  if (!record.args_ok()) {
+    return 1;
   }
-  const bool quick = QuickMode(argc, argv);
+  const bool quick = record.quick();
   PrintBenchHeader("SimScale",
                    "Calendar event queue vs seed heap; sharded million-flow scenarios");
 
@@ -167,33 +152,51 @@ int Main(int argc, char** argv) {
       quick ? std::vector<size_t>{1'000, 10'000}
             : std::vector<size_t>{1'000, 10'000, 100'000, 1'000'000};
   const double wall_cap_s = quick ? 5.0 : 10.0;
-  std::vector<SchedulerRow> sched_rows;
+  bool digests_ok = true;
+  bool churn_ok = true;
+  std::string compared, capped, churn_speedups;
   for (const bool churn : {true, false}) {
     for (const size_t flows : sched_sizes) {
       // Enough events for a stable rate without dwarfing setup; ~2 ack
       // rounds per flow at the largest sizes.
       const uint64_t target =
           std::max<uint64_t>(200'000, std::min<uint64_t>(20 * flows, 2'000'000));
-      SchedulerRow row;
-      row.flows = flows;
-      row.workload = churn ? "rto_churn" : "steady";
-      row.calendar = DriveScheduler<EventQueue>(flows, target, wall_cap_s, churn);
-      row.seed_heap = DriveScheduler<SeedHeapEventQueue>(flows, target, wall_cap_s, churn);
-      row.speedup = row.calendar.events_per_sec / row.seed_heap.events_per_sec;
-      row.digest_match = !row.calendar.capped && !row.seed_heap.capped &&
-                         row.calendar.digest == row.seed_heap.digest;
-      sched_rows.push_back(row);
+      const char* workload = churn ? "rto_churn" : "steady";
+      const SchedulerRun calendar = DriveScheduler<EventQueue>(flows, target, wall_cap_s, churn);
+      const SchedulerRun heap =
+          DriveScheduler<SeedHeapEventQueue>(flows, target, wall_cap_s, churn);
+      const double speedup = calendar.events_per_sec / heap.events_per_sec;
+      // The digests cover the same event budget only when neither side capped.
+      const bool either_capped = calendar.capped || heap.capped;
+      const bool digest_match = calendar.digest == heap.digest;
+      const std::string row = std::string(workload) + "." + std::to_string(flows);
+      std::string& list = either_capped ? capped : compared;
+      list += (list.empty() ? "" : ", ") + row;
+      digests_ok &= either_capped || digest_match;
+      if (churn) {
+        churn_ok &= speedup > 5.0;
+        churn_speedups += (churn_speedups.empty() ? "" : ", ") + row + " " +
+                          ConsoleTable::Num(speedup, 1) + "x";
+      }
+      for (const auto& [side, run] : {std::pair{"calendar", &calendar}, {"seed_heap", &heap}}) {
+        const std::string key = "scheduler." + row + "." + side;
+        record.Metric(key + ".events", static_cast<double>(run->events), "count");
+        record.Metric(key + ".seconds", run->seconds, "s");
+        record.Metric(key + ".events_per_sec", run->events_per_sec, "events/s");
+        record.Metric(key + ".capped", run->capped, "bool");
+      }
+      record.Metric("scheduler." + row + ".speedup", speedup, "x");
       std::printf("  scheduler %-9s %8zu flows: calendar %10.0f ev/s, seed heap %10.0f ev/s%s"
                   " (%.1fx)%s\n",
-                  row.workload, flows, row.calendar.events_per_sec,
-                  row.seed_heap.events_per_sec, row.seed_heap.capped ? " [capped]" : "",
-                  row.speedup,
-                  row.digest_match ? "" : (row.seed_heap.capped || row.calendar.capped
-                                               ? ""
-                                               : "  DIGEST MISMATCH"));
+                  workload, flows, calendar.events_per_sec, heap.events_per_sec,
+                  heap.capped ? " [capped]" : "", speedup,
+                  either_capped || digest_match ? "" : "  DIGEST MISMATCH");
       std::fflush(stdout);
     }
   }
+  record.Check("scheduler.digests_match_where_uncapped", digests_ok,
+               "compared: " + compared + "; capped: " + capped);
+  record.Check("scheduler.rto_churn_speedup_over_5x", churn_ok, churn_speedups);
 
   // ---- Part 2: end-to-end sharded scenarios.
   struct Shape {
@@ -206,7 +209,6 @@ int Main(int argc, char** argv) {
                                  {10'000, 100, 100, 1.0},
                                  {100'000, 1'000, 100, 0.5},
                                  {1'000'000, 10'000, 100, 0.2}};
-  std::vector<EndToEndRow> e2e_rows;
   for (const Shape& shape : shapes) {
     ShardedDumbbellConfig config;
     config.scheme = "cubic";
@@ -216,22 +218,21 @@ int Main(int argc, char** argv) {
     config.workers = ThreadPool::DefaultWorkerCount();
     const auto start = Clock::now();
     const ShardedRunResult result = RunShardedDumbbell(config);
-    EndToEndRow row;
-    row.total_flows = shape.total;
-    row.shards = shape.shards;
-    row.flows_per_shard = shape.per_shard;
-    row.sim_seconds = shape.sim_seconds;
-    row.wall_seconds = SecondsSince(start);
-    row.events = result.events_executed;
-    row.events_per_sec = static_cast<double>(row.events) / row.wall_seconds;
-    row.flow_seconds_per_sec = result.flow_seconds / row.wall_seconds;
-    row.max_packet_slots = result.max_packet_slots;
-    row.fingerprint = result.fingerprint;
-    e2e_rows.push_back(row);
+    const double wall_seconds = SecondsSince(start);
+    const double events_per_sec = static_cast<double>(result.events_executed) / wall_seconds;
+    const double flow_seconds_per_sec = result.flow_seconds / wall_seconds;
+    const std::string key = "end_to_end." + std::to_string(shape.total) + ".";
+    record.Metric(key + "events", static_cast<double>(result.events_executed), "count");
+    record.Metric(key + "wall_seconds", wall_seconds, "s");
+    record.Metric(key + "events_per_sec", events_per_sec, "events/s");
+    record.Metric(key + "flow_seconds_per_sec", flow_seconds_per_sec, "flow-s/s");
+    record.Metric(key + "max_packet_pool_slots", static_cast<double>(result.max_packet_slots),
+                  "count");
     std::printf("  end-to-end %8zu flows (%5zu shards x %zu): %10.0f ev/s, %8.1f"
-                " flow-s/s, max pool %zu slots\n",
-                row.total_flows, row.shards, row.flows_per_shard, row.events_per_sec,
-                row.flow_seconds_per_sec, row.max_packet_slots);
+                " flow-s/s, max pool %zu slots, fingerprint %s\n",
+                shape.total, shape.shards, shape.per_shard, events_per_sec,
+                flow_seconds_per_sec, result.max_packet_slots,
+                Hex(result.fingerprint).c_str());
     std::fflush(stdout);
   }
 
@@ -246,72 +247,14 @@ int Main(int argc, char** argv) {
   const ShardedRunResult serial = RunShardedDumbbell(det_config);
   det_config.workers = 4;
   const ShardedRunResult parallel = RunShardedDumbbell(det_config);
-  const bool determinism_ok = serial.fingerprint == parallel.fingerprint &&
-                              serial.events_executed == parallel.events_executed &&
-                              serial.bytes_acked == parallel.bytes_acked;
-
-  ConsoleTable table({"metric", "value"});
-  for (const SchedulerRow& row : sched_rows) {
-    table.AddRow({"sched " + std::string(row.workload) + " " + std::to_string(row.flows) +
-                      " flows speedup",
-                  ConsoleTable::Num(row.speedup, 1) +
-                      (row.seed_heap.capped ? " (heap capped)" : "")});
-  }
-  for (const EndToEndRow& row : e2e_rows) {
-    table.AddRow({"e2e " + std::to_string(row.total_flows) + " flows (Mev/s)",
-                  ConsoleTable::Num(row.events_per_sec / 1e6)});
-  }
-  table.AddRow({"1-vs-4-worker shard aggregate", determinism_ok ? "bit-identical" : "DIVERGED"});
-  table.Print();
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"quick\": %s,\n  \"scheduler\": [\n", quick ? "true" : "false");
-  for (size_t i = 0; i < sched_rows.size(); ++i) {
-    const SchedulerRow& row = sched_rows[i];
-    std::fprintf(
-        out,
-        "    {\"flows\": %zu, \"workload\": \"%s\",\n"
-        "     \"calendar\": {\"events\": %llu, \"seconds\": %.3f, \"events_per_sec\": %.0f,"
-        " \"capped\": %s},\n"
-        "     \"seed_heap\": {\"events\": %llu, \"seconds\": %.3f, \"events_per_sec\": %.0f,"
-        " \"capped\": %s},\n"
-        "     \"speedup\": %.2f, \"digest_match\": %s}%s\n",
-        row.flows, row.workload, static_cast<unsigned long long>(row.calendar.events),
-        row.calendar.seconds, row.calendar.events_per_sec,
-        row.calendar.capped ? "true" : "false",
-        static_cast<unsigned long long>(row.seed_heap.events), row.seed_heap.seconds,
-        row.seed_heap.events_per_sec, row.seed_heap.capped ? "true" : "false", row.speedup,
-        row.digest_match ? "true" : "false", i + 1 < sched_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"end_to_end\": [\n");
-  for (size_t i = 0; i < e2e_rows.size(); ++i) {
-    const EndToEndRow& row = e2e_rows[i];
-    std::fprintf(out,
-                 "    {\"flows\": %zu, \"shards\": %zu, \"flows_per_shard\": %zu,"
-                 " \"sim_seconds_per_flow\": %.2f,\n"
-                 "     \"events\": %llu, \"wall_seconds\": %.3f, \"events_per_sec\": %.0f,"
-                 " \"flow_seconds_per_sec\": %.1f,\n"
-                 "     \"max_packet_pool_slots\": %zu, \"fingerprint\": \"%016llx\"}%s\n",
-                 row.total_flows, row.shards, row.flows_per_shard, row.sim_seconds,
-                 static_cast<unsigned long long>(row.events), row.wall_seconds,
-                 row.events_per_sec, row.flow_seconds_per_sec, row.max_packet_slots,
-                 static_cast<unsigned long long>(row.fingerprint),
-                 i + 1 < e2e_rows.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n"
-               "  \"determinism\": {\"shards\": 8, \"flows_per_shard\": 20,"
-               " \"workers_compared\": [1, 4],\n"
-               "    \"fingerprint_match\": %s, \"fingerprint\": \"%016llx\"}\n}\n",
-               determinism_ok ? "true" : "false",
-               static_cast<unsigned long long>(serial.fingerprint));
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return determinism_ok ? 0 : 1;
+  record.Check("determinism.fingerprint_match",
+               serial.fingerprint == parallel.fingerprint &&
+                   serial.events_executed == parallel.events_executed &&
+                   serial.bytes_acked == parallel.bytes_acked,
+               "8 shards x 20 flows: " + Hex(serial.fingerprint) + " at 1 worker, " +
+                   Hex(parallel.fingerprint) + " at 4");
+  record.PrintMetrics();
+  return record.Finish();
 }
 
 }  // namespace

@@ -3,22 +3,24 @@
 // produce a bit-identical final state fingerprint, and on a multi-core host
 // the 4-worker run must collect env steps at least 3x faster than serial.
 //
-// The fingerprint check is unconditional (it holds on any host, including
-// nproc=1 CI sandboxes). The speedup assertion only applies when the host
-// actually has >= 4 cores, mirroring the bench_sim_scale / serve-overload
-// precedent: a single-core box time-slices the workers and measures nothing.
+// Two checks fail the run. The fingerprint check is unconditional (it holds
+// on any host, including nproc=1 CI sandboxes). The speedup check applies
+// only when the host has >= 4 cores, mirroring the bench_sim_scale /
+// serve-overload precedent: a single-core box time-slices the workers and
+// measures nothing. On hosts with >= 4 cores the 3x floor fails today: the
+// learner takes about 79% of training time on one thread, so more actor
+// workers alone cap near 1.27x.
 //
-// Prints a table and emits BENCH_train_scale.json (--out=PATH overrides).
-// --quick shrinks episodes for CI smoke. Exit is nonzero iff fingerprints
-// diverge — the determinism claim, not the throughput one, is the hard gate.
+// Prints the record's metrics and writes it to BENCH_train_scale.json (--out
+// PATH overrides). --quick shrinks episodes for CI smoke.
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/eval/bench_record.h"
 #include "src/eval/table.h"
 #include "src/train/vectorized_trainer.h"
 
@@ -73,20 +75,19 @@ ScaleRun RunAt(size_t workers, int episodes) {
 }
 
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_train_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
+  BenchRecord record("train_scale", argc, argv);
+  if (!record.args_ok()) {
+    return 1;
   }
-  const bool quick = QuickMode(argc, argv);
-  const int episodes = quick ? 2 : 6;
+  const int episodes = record.quick() ? 2 : 6;
   const unsigned host_cores = std::thread::hardware_concurrency();
   PrintBenchHeader("TrainScale",
                    "Vectorized actor/learner scaling and worker-count bit-identity");
   std::printf("  host cores: %u, envs: 4, episodes: %d\n", host_cores, episodes);
 
   std::vector<ScaleRun> runs;
+  bool fingerprints_identical = true;
+  std::string fingerprints;
   for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
     runs.push_back(RunAt(workers, episodes));
     const ScaleRun& run = runs.back();
@@ -94,62 +95,25 @@ int Main(int argc, char** argv) {
                 run.workers, static_cast<unsigned long long>(run.env_steps), run.wall_s,
                 run.steps_per_s, run.fingerprint);
     std::fflush(stdout);
-  }
-
-  bool fingerprints_identical = true;
-  for (const ScaleRun& run : runs) {
+    const std::string key = "runs." + std::to_string(workers) + ".";
+    record.Metric(key + "env_steps", static_cast<double>(run.env_steps), "count");
+    record.Metric(key + "wall_s", run.wall_s, "s");
+    record.Metric(key + "steps_per_s", run.steps_per_s, "steps/s");
     fingerprints_identical &= run.fingerprint == runs.front().fingerprint &&
                               run.env_steps == runs.front().env_steps;
+    char fingerprint[32];
+    std::snprintf(fingerprint, sizeof(fingerprint), "%s%08x at %zu", workers > 1 ? ", " : "",
+                  run.fingerprint, workers);
+    fingerprints += fingerprint;
   }
   const double speedup = runs.back().steps_per_s / runs.front().steps_per_s;
-  const bool speedup_applicable = host_cores >= 4;
-  const bool speedup_ok = !speedup_applicable || speedup >= 3.0;
-
-  ConsoleTable table({"metric", "value"});
-  for (const ScaleRun& run : runs) {
-    table.AddRow({"steps/s @ " + std::to_string(run.workers) + " workers",
-                  ConsoleTable::Num(run.steps_per_s, 0)});
-  }
-  table.AddRow({"4-vs-1 worker speedup", ConsoleTable::Num(speedup, 2) +
-                                             (speedup_applicable ? "" : " (host < 4 cores)")});
-  table.AddRow({"1/2/4-worker state", fingerprints_identical ? "bit-identical" : "DIVERGED"});
-  table.Print();
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"quick\": %s,\n  \"host_cores\": %u,\n  \"envs\": 4,\n"
-               "  \"episodes\": %d,\n  \"runs\": [\n",
-               quick ? "true" : "false", host_cores, episodes);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const ScaleRun& run = runs[i];
-    std::fprintf(out,
-                 "    {\"workers\": %zu, \"env_steps\": %llu, \"wall_s\": %.3f,"
-                 " \"steps_per_s\": %.0f, \"fingerprint\": \"%08x\"}%s\n",
-                 run.workers, static_cast<unsigned long long>(run.env_steps), run.wall_s,
-                 run.steps_per_s, run.fingerprint, i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"speedup_4v1\": %.2f,\n  \"speedup_applicable\": %s,\n"
-               "  \"speedup_ok\": %s,\n  \"fingerprints_identical\": %s\n}\n",
-               speedup, speedup_applicable ? "true" : "false", speedup_ok ? "true" : "false",
-               fingerprints_identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (!fingerprints_identical) {
-    std::fprintf(stderr, "FAIL: training state diverged across worker counts\n");
-    return 1;
-  }
-  if (!speedup_ok) {
-    std::fprintf(stderr, "FAIL: 4-worker speedup %.2fx below the 3x floor on a %u-core host\n",
-                 speedup, host_cores);
-    return 1;
-  }
-  return 0;
+  record.Metric("speedup_4v1", speedup, "x");
+  record.PrintMetrics();
+  record.Check("fingerprints_identical", fingerprints_identical, fingerprints);
+  record.Check("speedup_4v1_at_least_3x", host_cores < 4 || speedup >= 3.0,
+               ConsoleTable::Num(speedup) + "x on " + std::to_string(host_cores) + " cores" +
+                   (host_cores < 4 ? " (applies from 4 cores)" : ""));
+  return record.Finish();
 }
 
 }  // namespace

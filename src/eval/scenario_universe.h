@@ -36,7 +36,7 @@ namespace astraea {
 // kSimScaleSeedStream so the families never alias the scale bench).
 inline constexpr uint64_t kUniverseSeedStream = 0xA57AEA04;
 
-// Shared score columns (the BENCH_scenario_universe.json schema).
+// Shared score columns (the `families.*` metrics of bench_scenario_universe).
 struct UniverseMetrics {
   double utilization = 0.0;    // delivered / capacity over the scored window
   double jain = 1.0;           // Jain index of the per-flow window means

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/eval/bench_record.h"
 #include "src/eval/cli_scenario.h"
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
@@ -171,6 +177,102 @@ TEST(BenchRepsTest, DefaultsWithoutEnv) {
   setenv("ASTRAEA_BENCH_REPS", "7", 1);
   EXPECT_EQ(BenchReps(3), 7);
   unsetenv("ASTRAEA_BENCH_REPS");
+}
+
+// A bench record read from the command line `args` (argv[0] first).
+BenchRecord RecordFrom(std::vector<std::string> args,
+                       const std::vector<std::string>& switches = {},
+                       const std::vector<std::string>& options = {}) {
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  return BenchRecord("demo", static_cast<int>(argv.size()), argv.data(), switches, options);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(BenchRecordTest, WritesPerfbenchKeysWithEveryDigit) {
+  BenchRecord record = RecordFrom({"bench_demo"});
+  record.Metric("speedup", 1.1, "x");
+  record.Metric("latency", std::nan(""), "us");
+  record.Check("passes", true, "fine");
+  record.Check("fails", false, "said \"no\" at C:\\tmp");
+  EXPECT_EQ(record.ToJson(),
+            "{\n"
+            "  \"bench\": \"demo\",\n"
+            "  \"correct\": false,\n"
+            "  \"provenance\": {\"host_cores\": \"" +
+                std::to_string(std::thread::hardware_concurrency()) +
+                "\", \"quick\": \"false\"},\n"
+                "  \"checks\": [\n"
+                "    {\"name\": \"passes\", \"ok\": true, \"detail\": \"fine\"},\n"
+                "    {\"name\": \"fails\", \"ok\": false, \"detail\": \"said \\\"no\\\" at "
+                "C:\\\\tmp\"}\n"
+                "  ],\n"
+                "  \"metrics\": {\n"
+                "    \"speedup\": {\"value\": 1.1000000000000001, \"unit\": \"x\"},\n"
+                "    \"latency\": {\"value\": null, \"unit\": \"us\"}\n"
+                "  }\n"
+                "}\n");
+}
+
+TEST(BenchRecordTest, FailedCheckExitsOneAndStillWritesTheRecord) {
+  const std::string path = testing::TempDir() + "bench_record_failed.json";
+  BenchRecord record = RecordFrom({"bench_demo", "--out", path});
+  record.Metric("speedup", 2.0, "x");
+  record.Check("digests_match", true);
+  record.Check("speedup_over_5x", false, "2.0x");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(record.Finish(), 1);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("speedup_over_5x"), std::string::npos);
+  EXPECT_EQ(ReadFile(path), record.ToJson());
+  std::remove(path.c_str());
+}
+
+TEST(BenchRecordTest, PassingChecksExitZeroAtTheOutPath) {
+  const std::string path = testing::TempDir() + "bench_record_passed.json";
+  BenchRecord record = RecordFrom({"bench_demo", "--quick", "--out", path});
+  ASSERT_TRUE(record.args_ok());
+  EXPECT_TRUE(record.quick());
+  record.Check("digests_match", true);
+  EXPECT_EQ(record.Finish(), 0);
+  EXPECT_NE(ReadFile(path).find("\"correct\": true"), std::string::npos);
+  std::remove(path.c_str());
+  // A record without checks (bench_kernels') is correct.
+  BenchRecord unchecked = RecordFrom({"bench_demo", "--out", path});
+  EXPECT_EQ(unchecked.Finish(), 0);
+  std::remove(path.c_str());
+}
+
+TEST(BenchRecordTest, UnwritableOutExitsOne) {
+  BenchRecord record = RecordFrom({"bench_demo", "--out", "/nonexistent/dir/b.json"});
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(record.Finish(), 1);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("cannot write /nonexistent/dir/b.json"),
+            std::string::npos);
+}
+
+TEST(BenchRecordTest, ReadsOneSpellingAndRejectsTheRest) {
+  const BenchRecord record =
+      RecordFrom({"bench_demo", "--real", "--traces", "dir"}, {"--real"}, {"--traces"});
+  EXPECT_TRUE(record.args_ok());
+  EXPECT_FALSE(record.quick());
+  EXPECT_TRUE(record.Has("--real"));
+  EXPECT_EQ(record.Value("--traces", "bundled"), "dir");
+  EXPECT_EQ(record.Value("--out", "BENCH_demo.json"), "BENCH_demo.json");
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"bench_demo", "--out=b.json"}, {"bench_demo", "--out"},
+        {"bench_demo", "--real"}, {"bench_demo", "--traces=dir"}}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(RecordFrom(args, {}, {"--traces"}).args_ok()) << args[1];
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(args[1]), std::string::npos);
+  }
 }
 
 }  // namespace
