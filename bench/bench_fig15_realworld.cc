@@ -90,7 +90,7 @@ PlaneResult RunRealPlane(const WanProfile& profile, RateBps bandwidth, TimeNs du
   config.sender.total_bytes = 0;  // stream until the clock runs out
   config.sender.max_runtime = duration;
   config.receiver.idle_timeout = duration + Seconds(10.0);
-  auto policy = LoadDefaultPolicy("");
+  auto policy = LoadDefaultPolicy();
   config.make_cc = [policy] {
     AstraeaHyperparameters hp;
     hp.skip_drain_on_fresh_floor = true;

@@ -1,8 +1,9 @@
 // Figure 16 — CPU overhead and inference-service scalability, as
 // google-benchmark microbenchmarks:
 //   * per-MTP policy decision cost (distilled and MLP paths),
-//   * batched inference cost vs batch size (16a/16b: Astraea's shared batched
-//     service vs Orca's one-inference-per-flow design),
+//   * batched inference cost vs batch size (16a/16b: one Mlp::InferBatchSpan
+//     pass over N flows — the kernel astraea_serve flushes a batch through —
+//     vs Orca's one-inference-per-flow design),
 //   * simulator event throughput (harness sanity number).
 //
 // With --serve the binary additionally benchmarks the out-of-process serving
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "src/core/astraea_controller.h"
-#include "src/core/inference_service.h"
 #include "src/core/training_config.h"
 #include "src/eval/bench_record.h"
 #include "src/ipc/shm_ring.h"
@@ -85,11 +85,11 @@ void BM_DistilledPolicyDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_DistilledPolicyDecision);
 
-// Fig. 16b: batched service — total cost of serving N flows in one batch.
+// Fig. 16b: batched inference — total cost of scoring N flows in one batch.
 // Per-flow cost (time/N) drops as N grows, the sublinear-scaling claim.
-void BM_BatchedInferenceService(benchmark::State& state) {
+void BM_BatchedInference(benchmark::State& state) {
   const size_t flows = static_cast<size_t>(state.range(0));
-  InferenceService service(PaperActor());
+  const Mlp actor = PaperActor();
   Rng rng(3);
   std::vector<float> states;
   for (size_t i = 0; i < flows; ++i) {
@@ -97,12 +97,13 @@ void BM_BatchedInferenceService(benchmark::State& state) {
     states.insert(states.end(), s.begin(), s.end());
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.InferBatch(states, flows));
+    benchmark::DoNotOptimize(actor.InferBatchSpan(states, flows).data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(flows));
 }
-BENCHMARK(BM_BatchedInferenceService)->Arg(1)->Arg(10)->Arg(50)->Arg(100)->Arg(500)->Arg(1000);
+BENCHMARK(BM_BatchedInference)->Arg(1)->Arg(10)->Arg(50)->Arg(100)->Arg(500)->Arg(1000);
 
 // The Orca-style counterfactual: one independent inference pass per flow
 // (what the paper's Fig. 16b shows scaling linearly and exhausting 80 cores).

@@ -5,7 +5,8 @@
 // transfers bandwidth from high-rate to low-rate flows.
 //
 // Runs the distilled policy always, and additionally the trained checkpoint
-// when models/astraea_policy.ckpt (or ASTRAEA_MODEL) is present.
+// that ASTRAEA_MODEL names (LoadDefaultPolicy's rule; a path that does not
+// load throws).
 
 #include <cstdio>
 
@@ -69,8 +70,8 @@ int Main(int, char**) {
   if (loaded->name() != "astraea-distilled") {
     PrintMap(*loaded);
   } else {
-    std::printf("\n(no trained checkpoint found; set ASTRAEA_MODEL or run "
-                "tools/astraea_train to add the MLP map)\n");
+    std::printf("\n(no trained checkpoint selected; set ASTRAEA_MODEL, e.g. to "
+                "models/astraea_policy_trained.ckpt, to add the MLP map)\n");
   }
   std::printf("\npaper: actions decrease with delay; higher-rate flows cross zero at lower "
               "delay, so shared queueing delay pushes rates together (fair consensus)\n");

@@ -1,8 +1,7 @@
 // Kernel and harness performance trajectory for this repo: per-step actor
 // inference latency, per-row inference cost across batch sizes, TD3 training
-// throughput on the batched vs the per-sample reference path, batched
-// inference-service cost, and parallel experiment harness scenario throughput
-// (1 worker vs all cores).
+// throughput on the batched vs the per-sample reference path, and parallel
+// experiment harness scenario throughput (1 worker vs all cores).
 //
 // Prints the record's metrics and writes it to BENCH_kernels.json (--out PATH
 // overrides) so successive changes can track the numbers. The record holds no
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "bench/harness/experiments.h"
-#include "src/core/inference_service.h"
 #include "src/eval/bench_record.h"
 #include "src/eval/table.h"
 #include "src/rl/replay_buffer.h"
@@ -136,19 +134,6 @@ int Main(int argc, char** argv) {
     record.Metric("actor_infer_batch_us_per_row." + std::to_string(batch),
                   s * 1e6 / static_cast<double>(batch), "us");
   }
-
-  // ---- Inference-service flush at 256 pending flows.
-  InferenceService service(PaperActor());
-  const double flush_s = TimePerCall(0.3, [&] {
-    for (size_t i = 0; i < kTrainBatch; ++i) {
-      service.Submit(
-          std::vector<float>(batch_states.begin() + static_cast<long>(i * kLocalDim),
-                             batch_states.begin() + static_cast<long>((i + 1) * kLocalDim)),
-          [](double) {});
-    }
-    service.Flush();
-  });
-  record.Metric("service_flush256_us_per_flow", flush_s * 1e6 / kTrainBatch, "us");
 
   // ---- TD3 training throughput: batched kernels vs per-sample reference.
   Td3Trainer batched = MakeTrainer(3);

@@ -21,9 +21,8 @@ int main() {
   link.buffer_bytes = BdpBytes(Mbps(100), Milliseconds(30));
   net.AddLink(link);
 
-  // 2. One Astraea flow. LoadDefaultPolicy() picks up a trained checkpoint
-  //    (ASTRAEA_MODEL / models/astraea_policy.ckpt) or falls back to the
-  //    distilled reference policy.
+  // 2. One Astraea flow. LoadDefaultPolicy() runs the trained checkpoint that
+  //    ASTRAEA_MODEL names, else the distilled reference policy.
   const std::shared_ptr<const Policy> policy = LoadDefaultPolicy();
   FlowSpec flow;
   flow.scheme = "astraea";

@@ -1,30 +1,18 @@
-// Fuzz target: the Mlp parameter stream (src/nn/mlp.h), through both load
-// paths the serving stack uses (see inference_server.cc LoadActorFile): a
-// checkpoint-wrapped image when the trailing footer magic matches, a raw
-// BinaryReader stream otherwise. Contract under arbitrary bytes: Mlp::Load
-// either returns a network or throws SerializationError — never crashes and
-// never allocates from unvalidated dimension fields.
+// Fuzz target: the Mlp parameter stream (src/nn/mlp.h), the one format every
+// actor file is read in (LoadActorFile). Contract under arbitrary bytes:
+// Mlp::Load either returns a network or throws SerializationError — never
+// crashes and never allocates from unvalidated dimension fields.
 
 #include <cstdint>
-#include <cstring>
 #include <sstream>
 #include <string>
 
 #include "src/nn/mlp.h"
-#include "src/util/checkpoint.h"
 #include "src/util/serialization.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  std::string blob(reinterpret_cast<const char*>(data), size);
+  std::istringstream in(std::string(reinterpret_cast<const char*>(data), size));
   try {
-    if (blob.size() >= sizeof(uint32_t)) {
-      uint32_t trailer = 0;
-      std::memcpy(&trailer, blob.data() + blob.size() - sizeof(trailer), sizeof(trailer));
-      if (trailer == astraea::kCheckpointFooterMagic) {
-        blob = astraea::VerifyCheckpointBlob(std::move(blob), "fuzz");
-      }
-    }
-    std::istringstream in(blob);
     astraea::BinaryReader reader(&in);
     (void)astraea::Mlp::Load(&reader);
   } catch (const astraea::SerializationError&) {

@@ -95,12 +95,11 @@ int Main(int argc, char** argv) {
   WriteFile(ckpt_dir / "bad_crc.ckpt", bad_crc);
   WriteFile(ckpt_dir / "empty.ckpt", "");
 
-  // fuzz_mlp: raw parameter stream, checkpoint-wrapped stream, corrupt dim.
+  // fuzz_mlp: raw parameter stream, corrupt dim, truncation.
   const auto mlp_dir = root / "fuzz_mlp";
   std::filesystem::create_directories(mlp_dir);
   const std::string mlp = MlpStream();
   WriteFile(mlp_dir / "raw.mlp", mlp);
-  WriteFile(mlp_dir / "wrapped.mlp", WrapCheckpoint(mlp));
   std::string bad_dim = mlp;
   bad_dim[4] = static_cast<char>(0xFF);  // clobber inside the dims block
   WriteFile(mlp_dir / "bad_dim.mlp", bad_dim);

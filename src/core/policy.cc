@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 
 #include "src/util/logging.h"
 
 namespace astraea {
 
 std::shared_ptr<MlpPolicy> MlpPolicy::LoadFromFile(const std::string& path) {
-  BinaryReader reader(path);
-  return std::make_shared<MlpPolicy>(Mlp::Load(&reader));
+  return std::make_shared<MlpPolicy>(LoadActorFile(path));
 }
 
 double MlpPolicy::Act(const StateView& view) const {
@@ -65,25 +63,14 @@ double DistilledPolicy::Act(const StateView& view) const {
 }
 
 std::shared_ptr<const Policy> LoadDefaultPolicy(const std::string& path) {
-  std::string candidate = path;
-  if (candidate.empty()) {
-    if (const char* env = std::getenv("ASTRAEA_MODEL"); env != nullptr) {
-      candidate = env;
-    } else if (std::filesystem::exists("models/astraea_policy.ckpt")) {
-      candidate = "models/astraea_policy.ckpt";
-    }
+  const char* env = std::getenv("ASTRAEA_MODEL");
+  const std::string model = !path.empty() ? path : env != nullptr ? env : "";
+  if (model.empty()) {
+    return std::make_shared<DistilledPolicy>();
   }
-  if (!candidate.empty()) {
-    try {
-      auto policy = MlpPolicy::LoadFromFile(candidate);
-      ASTRAEA_LOG(Info) << "loaded Astraea policy checkpoint: " << candidate;
-      return policy;
-    } catch (const SerializationError& e) {
-      ASTRAEA_LOG(Warning) << "failed to load policy '" << candidate << "' (" << e.what()
-                           << "); falling back to the distilled policy";
-    }
-  }
-  return std::make_shared<DistilledPolicy>();
+  auto policy = MlpPolicy::LoadFromFile(model);
+  ASTRAEA_LOG(Info) << "loaded Astraea policy checkpoint: " << model;
+  return policy;
 }
 
 uint64_t ApplyActionToCwnd(uint64_t cwnd_bytes, double action, double alpha, uint32_t mss) {

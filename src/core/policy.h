@@ -86,9 +86,10 @@ class DistilledPolicy : public Policy {
   DistilledPolicyConfig config_;
 };
 
-// Resolution order: explicit `path` argument -> ASTRAEA_MODEL env var ->
-// models/astraea_policy.ckpt relative to the working directory -> the
-// distilled policy. Never fails.
+// The one rule for which policy "astraea" runs: the checkpoint at `path`, or
+// at ASTRAEA_MODEL when `path` is empty, loaded through LoadActorFile (a
+// missing or corrupt file throws SerializationError naming it; nothing is
+// substituted); with neither, the distilled policy.
 std::shared_ptr<const Policy> LoadDefaultPolicy(const std::string& path = "");
 
 // Eq. 3: multiplicative cwnd update under action a in [-1, 1].

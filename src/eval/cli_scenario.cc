@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "src/serve/remote_policy.h"
+#include "src/util/serialization.h"
 
 namespace astraea {
 
@@ -31,7 +32,13 @@ DumbbellConfig BuildDumbbellConfig(const ScenarioCliOptions& opts) {
 }
 
 std::shared_ptr<const Policy> MakeCliPolicy(const PolicyCliOptions& opts) {
-  std::shared_ptr<const Policy> local = LoadDefaultPolicy(opts.model);
+  std::shared_ptr<const Policy> local;
+  try {
+    local = LoadDefaultPolicy(opts.model);
+  } catch (const SerializationError& e) {
+    std::fprintf(stderr, "cannot load Astraea policy: %s\n", e.what());
+    std::exit(1);
+  }
   if (opts.serve_socket.empty()) {
     return local;
   }

@@ -1,9 +1,10 @@
 // Scenario- and policy-construction helpers shared by the CLI tools
-// (run_scenario, astraea_eval, golden_trace). Previously each tool hand-rolled its own
-// DumbbellConfig assembly (AQM factory, buffer sizing, trace loading) and its
-// own policy resolution; centralizing both here means a new capability —
-// like serving inference from an out-of-process `astraea_serve` via
-// --serve-socket — lands in every tool at once.
+// (run_scenario, astraea_eval, golden_trace, astraea_net). Previously each
+// tool hand-rolled its own DumbbellConfig assembly (AQM factory, buffer
+// sizing, trace loading) and its own policy resolution; centralizing both
+// here means a new capability — like serving inference from an
+// out-of-process `astraea_serve` via --serve-socket — lands in every tool at
+// once.
 //
 // These helpers follow the cli_flags.h contract: invalid user input prints
 // one clear line and exits. CLI-only by design.
@@ -39,17 +40,17 @@ DumbbellConfig BuildDumbbellConfig(const ScenarioCliOptions& opts);
 
 // Astraea policy selection as tools accept it on the command line.
 struct PolicyCliOptions {
-  std::string model;         // checkpoint path; "" = default resolution
+  std::string model;         // checkpoint path; "" = ASTRAEA_MODEL, else distilled
   std::string serve_socket;  // when set, serve decisions from astraea_serve
   TimeNs rpc_timeout = Milliseconds(20);
   TimeNs connect_timeout = Milliseconds(500);  // handshake/reconnect-probe bound
 };
 
-// Resolves the policy: with --serve-socket, a self-healing RemotePolicy
-// against the server with the locally-resolved policy as its degradation
-// fallback; otherwise the local policy itself. Never fails (an unreachable
-// server degrades to pure fallback with a warning and re-attaches when one
-// appears).
+// Resolves the policy: LoadDefaultPolicy(model) locally; with --serve-socket,
+// a self-healing RemotePolicy against the server with that local policy as
+// its degradation fallback. A checkpoint that does not load prints one line
+// naming it and exits 1; an unreachable server degrades to pure fallback
+// with a warning and re-attaches when one appears.
 std::shared_ptr<const Policy> MakeCliPolicy(const PolicyCliOptions& opts);
 
 }  // namespace astraea

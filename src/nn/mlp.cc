@@ -263,11 +263,6 @@ std::vector<float> Mlp::Infer(std::span<const float> input) const {
   return std::vector<float>(out.begin(), out.end());
 }
 
-std::vector<float> Mlp::InferBatch(std::span<const float> inputs, size_t batch) const {
-  const auto out = InferBatchSpan(inputs, batch);
-  return std::vector<float>(out.begin(), out.end());
-}
-
 std::span<const float> Mlp::InferBatchSpan(std::span<const float> inputs, size_t batch) const {
   ASTRAEA_CHECK(inputs.size() == batch * static_cast<size_t>(dims_.front()));
   const float* fp = ForwardParams();
@@ -658,6 +653,15 @@ Mlp Mlp::Load(BinaryReader* reader) {
   net.params_ = std::move(params);
   net.wt_stale_ = true;
   return net;
+}
+
+Mlp LoadActorFile(const std::string& path) {
+  BinaryReader reader(path);  // names `path` when it cannot open it
+  try {
+    return Mlp::Load(&reader);
+  } catch (const SerializationError& e) {
+    throw SerializationError(std::string(e.what()) + ": " + path);
+  }
 }
 
 Adam::Adam(size_t parameter_count, float lr, float beta1, float beta2, float eps)

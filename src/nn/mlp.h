@@ -7,11 +7,11 @@
 // gradient flow from the critic's output through its action input into the
 // actor (paper Eq. 9 / DDPG-style chain rule).
 //
-// The batched entry points (ForwardBatch / BackwardBatch / InferBatch) operate
-// on contiguous row-major [batch x dim] buffers and reuse internal scratch and
-// activation caches across calls, so steady-state batched work performs no heap
-// allocation and each weight matrix is streamed once per batch instead of once
-// per sample. The per-sample Forward()/Backward() pair is retained as the
+// The batched entry points (ForwardBatch / BackwardBatch / InferBatchSpan)
+// operate on contiguous row-major [batch x dim] buffers and reuse internal
+// scratch and activation caches across calls, so steady-state batched work
+// performs no heap allocation and each weight matrix is streamed once per batch
+// instead of once per sample. The per-sample Forward()/Backward() pair is retained as the
 // reference implementation that the batched kernels are parity-tested against.
 //
 // Only Mlp members write the parameters (there is no mutable params()), so the
@@ -19,8 +19,8 @@
 // writer marks it, and the next forward pass rebuilds it.
 //
 // Thread-safety: one Mlp instance may be used by one thread at a time (even
-// Infer/InferBatch use mutable scratch and may rebuild the weight cache); use
-// per-thread copies to parallelize.
+// Infer/InferBatchSpan use mutable scratch and may rebuild the weight cache);
+// use per-thread copies to parallelize.
 
 #ifndef SRC_NN_MLP_H_
 #define SRC_NN_MLP_H_
@@ -50,15 +50,12 @@ class Mlp {
   // Inference-only forward (no caches touched); usable on a const model.
   std::vector<float> Infer(std::span<const float> input) const;
 
-  // Batched inference: `inputs` is row-major [batch x input_size]; returns
-  // [batch x output_size]. Processes layer-by-layer across the whole batch so
-  // the weight matrices stay cache-resident — the mechanism behind the
-  // inference service's sublinear scaling (paper §4 / Fig. 16).
-  std::vector<float> InferBatch(std::span<const float> inputs, size_t batch) const;
-
-  // Allocation-free variant of InferBatch: the returned span points into a
-  // ping-pong scratch buffer owned by the network and stays valid until the
-  // next batched call on this instance.
+  // Batched inference: `inputs` is row-major [batch x input_size]; returns a
+  // [batch x output_size] view. Processes layer-by-layer across the whole
+  // batch so the weight matrices stay cache-resident — the mechanism behind
+  // the inference server's sublinear scaling (paper §4 / Fig. 16). The view
+  // points into a ping-pong scratch buffer owned by the network and stays
+  // valid until the next batched call on this instance.
   std::span<const float> InferBatchSpan(std::span<const float> inputs, size_t batch) const;
 
   // Batched training forward: caches flat per-layer activations for a
@@ -155,13 +152,20 @@ class Mlp {
   std::vector<float> batch_delta_a_;
   std::vector<float> batch_delta_b_;
   // Ping-pong scratch for inference-only batched passes; mutable so Infer /
-  // InferBatch stay const (they still make the instance single-thread only).
+  // InferBatchSpan stay const (they still make the instance single-thread only).
   mutable std::vector<float> infer_scratch_a_;
   mutable std::vector<float> infer_scratch_b_;
   // Column-major copy of the current deltas ([out x batch]), rebuilt per layer
   // in BackwardBatch so the parameter-gradient tiles read them unit-stride.
   std::vector<float> dt_scratch_;
 };
+
+// Reads an actor file: one Save() stream, as Td3Trainer::SaveActor writes it
+// and models/astraea_policy_trained.ckpt stores it. The one reader of actor
+// files (MlpPolicy::LoadFromFile wraps it; astraea_serve's load and hot
+// reload call it). Throws SerializationError naming `path` when the file is
+// missing or is not such a stream.
+Mlp LoadActorFile(const std::string& path);
 
 // Adam optimizer over a flat parameter vector.
 class Adam {

@@ -321,13 +321,6 @@ void Td3Trainer::SaveActor(const std::string& path) const {
   }
 }
 
-void Td3Trainer::LoadActor(const std::string& path) {
-  BinaryReader reader(path);
-  Mlp loaded = Mlp::Load(&reader);
-  actor_->CopyParamsFrom(loaded);
-  target_actor_->CopyParamsFrom(loaded);
-}
-
 namespace {
 
 constexpr uint32_t kTd3StateMagic = 0x41'53'54'44;  // "ASTD"

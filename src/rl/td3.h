@@ -74,11 +74,10 @@ class Td3Trainer {
   Mlp& mutable_actor() { return *actor_; }
   const Mlp& critic1() const { return *critic1_; }
 
-  // Deployment/policy artifact: actor weights only, in the stable MLP format
-  // consumed by MlpPolicy::LoadFromFile. Throws SerializationError if the
-  // write cannot be completed (disk full, bad path).
+  // Deployment/policy artifact: actor weights only, one Mlp::Save stream,
+  // read back by LoadActorFile (src/nn/mlp.h). Throws SerializationError if
+  // the write cannot be completed (disk full, bad path).
   void SaveActor(const std::string& path) const;
-  void LoadActor(const std::string& path);
 
   // Full training state — actor, both critics, all three target networks,
   // all three Adam optimizers and the update counter — for crash-safe

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
@@ -14,39 +13,12 @@
 #include "src/ipc/uds.h"
 #include "src/serve/serve_metrics.h"
 #include "src/serve/serve_protocol.h"
-#include "src/util/checkpoint.h"
 #include "src/util/failpoint.h"
 #include "src/util/logging.h"
 #include "src/util/metrics.h"
 
 namespace astraea {
 namespace serve {
-
-Mlp LoadActorFile(const std::string& path) {
-  // Sniff the trailing footer magic to decide between the durable checkpoint
-  // container (src/util/checkpoint.h) and the raw actor stream that
-  // astraea_train --out writes.
-  bool container = false;
-  {
-    std::ifstream f(path, std::ios::binary | std::ios::ate);
-    if (!f) {
-      throw SerializationError("cannot open actor checkpoint: " + path);
-    }
-    const std::streamoff size = f.tellg();
-    if (size >= static_cast<std::streamoff>(kCheckpointFooterSize)) {
-      f.seekg(size - 4);
-      uint32_t magic = 0;
-      f.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-      container = f.good() && magic == kCheckpointFooterMagic;
-    }
-  }
-  if (container) {
-    CheckpointReader ckpt(path);
-    return Mlp::Load(ckpt.payload());
-  }
-  BinaryReader reader(path);
-  return Mlp::Load(&reader);
-}
 
 InferenceServer::InferenceServer(InferenceServerConfig config)
     : config_(std::move(config)), metrics_(RegisterServerMetrics()) {

@@ -3,15 +3,15 @@
 // One thread owns everything: it accepts clients over the unix-socket control
 // channel, maps their shared-memory ring pairs, and runs a deadline batcher —
 // requests drained from all client rings are flushed through one batched
-// forward pass when either `max_batch` requests are pending or the oldest
-// pending request has waited `batch_window`. This is the same
-// flush-on-occupancy-or-deadline policy as the in-process InferenceService,
-// applied across process boundaries.
+// forward pass (Mlp::InferBatchSpan) when either `max_batch` requests are
+// pending or the oldest pending request has waited `batch_window`. This is
+// the repo's one batcher: paper §4's shared inference service.
 //
-// Hot reload: RequestReload() (wired to SIGHUP in tools/astraea_serve) makes
-// the loop re-load the actor from `model_path` between batches — never
-// mid-batch — so an atomic-symlink swap of the checkpoint upgrades the model
-// with zero dropped requests. A failed load keeps the old actor serving.
+// The actor is read with LoadActorFile (src/nn/mlp.h) at construction and on
+// hot reload: RequestReload() (wired to SIGHUP in tools/astraea_serve) makes
+// the loop re-load it from `model_path` between batches — never mid-batch —
+// so an atomic-symlink swap of the checkpoint upgrades the model with zero
+// dropped requests. A failed load keeps the old actor serving.
 //
 // Failure injection (src/util/failpoint.h):
 //   serve.flush.mid_batch   after requests are consumed from client rings,
@@ -66,12 +66,6 @@
 
 namespace astraea {
 namespace serve {
-
-// Loads an actor network from `path`, accepting either a PR-2 checkpoint
-// container (CRC32 footer; detected by its trailing magic) or a raw
-// BinaryWriter stream (tools/astraea_train --out format). Throws
-// SerializationError when the file is missing or corrupt.
-Mlp LoadActorFile(const std::string& path);
 
 struct InferenceServerConfig {
   std::string socket_path;

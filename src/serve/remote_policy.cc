@@ -251,9 +251,6 @@ std::shared_ptr<const Policy> MakeServedPolicy(const std::string& socket_path,
                                                TimeNs rpc_timeout,
                                                std::shared_ptr<const Policy> fallback,
                                                TimeNs connect_timeout) {
-  if (fallback == nullptr) {
-    fallback = LoadDefaultPolicy();
-  }
   ServeClientConfig config;
   config.socket_path = socket_path;
   config.rpc_timeout = rpc_timeout;

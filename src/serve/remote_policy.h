@@ -166,12 +166,12 @@ class RemotePolicy : public Policy {
 };
 
 // Convenience: connect to `socket_path` and wrap the result in a
-// self-healing RemotePolicy over `fallback` (default: LoadDefaultPolicy()).
-// Logs a warning when the server is unreachable — callers always get a
-// usable policy that will attach (or re-attach) whenever a server appears.
+// self-healing RemotePolicy over `fallback`. Logs a warning when the server
+// is unreachable — callers always get a usable policy that will attach (or
+// re-attach) whenever a server appears.
 std::shared_ptr<const Policy> MakeServedPolicy(const std::string& socket_path,
                                                TimeNs rpc_timeout,
-                                               std::shared_ptr<const Policy> fallback = nullptr,
+                                               std::shared_ptr<const Policy> fallback,
                                                TimeNs connect_timeout = Milliseconds(500));
 
 }  // namespace serve

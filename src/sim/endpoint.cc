@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -342,11 +341,6 @@ void Sender::OnRtoCheck(uint64_t generation) {
   if (events_->now() - last_ack_time_ < CurrentRto()) {
     ArmRtoTimer();
     return;
-  }
-  if (std::getenv("ASTRAEA_DEBUG_RTO") != nullptr) {
-    std::fprintf(stderr, "RTO fire t=%.3f last_ack=%.3f rto=%.3f srtt=%.1fms outstanding=%zu\n",
-                 ToSeconds(events_->now()), ToSeconds(last_ack_time_),
-                 ToSeconds(CurrentRto()), ToMillis(meter_.srtt()), outstanding_.size());
   }
   // Timeout: write off everything outstanding.
   uint64_t lost = 0;

@@ -80,7 +80,7 @@ class VectorizedTrainer {
   int episodes_done() const { return episodes_done_; }
   uint64_t total_env_steps() const { return total_env_steps_; }
 
-  // Deployment artifact (actor weights, MlpPolicy::LoadFromFile format).
+  // Deployment artifact (actor weights, the LoadActorFile format).
   void SaveCheckpoint(const std::string& path) const { trainer_->SaveActor(path); }
 
   // Full training state in the atomic CRC-footer container. Only legal at a

@@ -31,7 +31,6 @@
 //   ckpt.commit.before_rename  tmp durable, final path still the old file
 //   ckpt.commit.before_dirsync renamed, directory entry not yet fsynced
 //   train.episode              top of each VectorizedTrainer::Train episode
-//   inference.flush            entry of InferenceService::Flush
 //   serve.flush.mid_batch      astraea_serve: requests drained from client
 //                              rings, no response written yet (worst case)
 //   serve.respond.corrupt      astraea_serve: ":throw" corrupts one response

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/inference_service.h"
 #include "src/nn/mlp.h"
 #include "src/util/failpoint.h"
 #include "src/util/rng.h"
@@ -242,26 +241,6 @@ TEST(FailpointTest, MalformedSpecThrows) {
   EXPECT_THROW(failpoint::Configure("site=0"), std::invalid_argument);
   EXPECT_THROW(failpoint::Configure("site=1:detonate"), std::invalid_argument);
   failpoint::Clear();
-}
-
-TEST(FailpointTest, InjectedFlushErrorLosesNoRequests) {
-  Rng rng(9);
-  Mlp actor({3, 8, 1}, OutputActivation::kTanh, &rng);
-  InferenceService service(std::move(actor));
-
-  int served = 0;
-  service.Submit({0.1f, 0.2f, 0.3f}, [&](double) { ++served; });
-  service.Submit({0.4f, 0.5f, 0.6f}, [&](double) { ++served; });
-
-  failpoint::Configure("inference.flush=1:throw");
-  EXPECT_THROW(service.Flush(), failpoint::Injected);
-  // The failure hit before the queues were swapped: nothing was dropped.
-  EXPECT_EQ(service.pending(), 2u);
-  EXPECT_EQ(served, 0);
-
-  failpoint::Clear();
-  EXPECT_EQ(service.Flush(), 2u);
-  EXPECT_EQ(served, 2);
 }
 
 }  // namespace

@@ -51,6 +51,10 @@ void RandomizeParams(Mlp* net, uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
+// A batched result copied out of the network's inference scratch, which the
+// next batched call on that network overwrites.
+std::vector<float> Copy(std::span<const float> view) { return {view.begin(), view.end()}; }
+
 TEST(MlpTest, ShapesAndDeterminism) {
   Rng rng(1);
   Mlp net({4, 8, 8, 2}, OutputActivation::kTanh, &rng);
@@ -85,7 +89,7 @@ TEST(MlpTest, InferBatchMatchesPerSample) {
   for (auto& v : inputs) {
     v = static_cast<float>(data_rng.Uniform(-1.0, 1.0));
   }
-  const auto batched = net.InferBatch(inputs, batch);
+  const std::vector<float> batched = Copy(net.InferBatchSpan(inputs, batch));
   ASSERT_EQ(batched.size(), batch * 2);
   for (size_t i = 0; i < batch; ++i) {
     const auto single =
@@ -115,9 +119,7 @@ TEST(MlpTest, InferBatchMatchesForwardBitwiseAtPaperWidths) {
     const size_t in = static_cast<size_t>(dims.front());
     for (const size_t batch : batches) {
       const std::vector<float> inputs = RandomInputs(batch * in, 42 + batch);
-      // Copied out of the inference scratch before any further call.
-      const std::span<const float> view = net.InferBatchSpan(inputs, batch);
-      const std::vector<float> batched(view.begin(), view.end());
+      const std::vector<float> batched = Copy(net.InferBatchSpan(inputs, batch));
       for (size_t r = 0; r < batch; ++r) {
         const auto single = net.Forward(std::span<const float>(inputs).subspan(r * in, in));
         EXPECT_TRUE(SameBits(std::span<const float>(batched).subspan(r, 1), single))
@@ -200,9 +202,10 @@ TEST(MlpTest, BatchedScratchReusesAcrossVaryingBatchSizes) {
   }
   // Large batch, then a smaller one reusing the same scratch, then repeat the
   // large one: answers must be stable call-to-call.
-  const std::vector<float> first(net.InferBatch(big, 12));
-  const std::vector<float> small(net.InferBatch(std::span<const float>(big.data(), 3 * 4), 3));
-  const std::vector<float> again(net.InferBatch(big, 12));
+  const std::vector<float> first = Copy(net.InferBatchSpan(big, 12));
+  const std::vector<float> small =
+      Copy(net.InferBatchSpan(std::span<const float>(big.data(), 3 * 4), 3));
+  const std::vector<float> again = Copy(net.InferBatchSpan(big, 12));
   EXPECT_EQ(first, again);
   for (size_t i = 0; i < small.size(); ++i) {
     EXPECT_EQ(small[i], first[i]);
@@ -312,13 +315,13 @@ void ExpectInferFreshAfter(const char* what, const std::function<void(Mlp*)>& ch
   Rng rng(51);
   Mlp net(kActorDims, OutputActivation::kTanh, &rng);
   const std::vector<float> x = RandomInputs(2 * 40, 52);
-  const std::vector<float> before = net.InferBatch(x, 2);  // builds the cache
+  const std::vector<float> before = Copy(net.InferBatchSpan(x, 2));  // builds the cache
   change(&net);
   Rng fresh_rng(53);
   Mlp fresh(kActorDims, OutputActivation::kTanh, &fresh_rng);
   fresh.SetParams(net.params());
-  const std::vector<float> after = net.InferBatch(x, 2);
-  EXPECT_TRUE(SameBits(after, fresh.InferBatch(x, 2)));
+  const std::vector<float> after = Copy(net.InferBatchSpan(x, 2));
+  EXPECT_TRUE(SameBits(after, fresh.InferBatchSpan(x, 2)));
   EXPECT_FALSE(SameBits(after, before));
   EXPECT_TRUE(SameBits(net.Infer(std::span<const float>(x).first(40)),
                        std::span<const float>(after).first(1)));

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
+#include <string>
 
 #include "src/core/policy.h"
 
@@ -179,10 +184,67 @@ TEST(MlpPolicyTest, ShippedTrainedArtifactLoads) {
   EXPECT_EQ(LoadDefaultPolicy(path)->name(), "astraea-mlp");
 }
 
-TEST(LoadDefaultPolicyTest, FallsBackToDistilled) {
-  // With no checkpoint anywhere, the loader must return the distilled policy.
-  const auto policy = LoadDefaultPolicy("/nonexistent/path.ckpt");
-  EXPECT_EQ(policy->name(), "astraea-distilled");
+// Sets ASTRAEA_MODEL (unsets it for nullptr) and restores it on scope exit.
+class ScopedModelEnv {
+ public:
+  explicit ScopedModelEnv(const char* value) {
+    if (const char* old = std::getenv("ASTRAEA_MODEL"); old != nullptr) {
+      saved_ = old;
+    }
+    Set(value);
+  }
+  ~ScopedModelEnv() { Set(saved_ ? saved_->c_str() : nullptr); }
+
+ private:
+  static void Set(const char* value) {
+    if (value != nullptr) {
+      setenv("ASTRAEA_MODEL", value, 1);
+    } else {
+      unsetenv("ASTRAEA_MODEL");
+    }
+  }
+  std::optional<std::string> saved_;
+};
+
+std::string TrainedCheckpoint() {
+  return std::string(ASTRAEA_SOURCE_DIR) + "/models/astraea_policy_trained.ckpt";
+}
+
+TEST(LoadDefaultPolicyTest, IgnoresACheckpointInTheWorkingDirectory) {
+  // astraea_train writes models/astraea_policy.ckpt by default; one left in
+  // the working directory must not change which policy "astraea" runs.
+  const ScopedModelEnv no_model(nullptr);
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("astraea_policy_test_" + std::to_string(getpid()));
+  std::filesystem::create_directories(dir / "models");
+  const std::filesystem::path ckpt = dir / "models/astraea_policy.ckpt";
+  std::filesystem::copy_file(TrainedCheckpoint(), ckpt,
+                             std::filesystem::copy_options::overwrite_existing);
+  EXPECT_EQ(MlpPolicy::LoadFromFile(ckpt.string())->name(), "astraea-mlp");
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  const std::string chosen = LoadDefaultPolicy()->name();
+  std::filesystem::current_path(cwd);
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(chosen, "astraea-distilled");
+}
+
+TEST(LoadDefaultPolicyTest, MissingCheckpointThrowsNamingIt) {
+  // A named checkpoint that does not load is an error, never a silent
+  // substitution of the distilled policy.
+  const ScopedModelEnv no_model(nullptr);
+  try {
+    LoadDefaultPolicy("/nonexistent/path.ckpt");
+    ADD_FAILURE() << "a missing checkpoint loaded";
+  } catch (const SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find("/nonexistent/path.ckpt"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LoadDefaultPolicyTest, AstraeaModelSelectsTheCheckpoint) {
+  const ScopedModelEnv model(TrainedCheckpoint().c_str());
+  EXPECT_EQ(LoadDefaultPolicy()->name(), "astraea-mlp");
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 //   recv      bind a UDP port and acknowledge incoming data frames
 //   send      transfer N bytes to a receiver, cwnd/pacing driven by a
 //             congestion controller (any scheme from the comparison set;
-//             astraea loads the default checkpoint or attaches to a running
-//             astraea_serve sidecar via --serve-socket)
+//             astraea runs --model / ASTRAEA_MODEL, else the distilled policy,
+//             or attaches to a running astraea_serve sidecar via
+//             --serve-socket)
 //   emulate   stand-alone WAN link emulator (UDP relay: rate, delay,
 //             droptail buffer, random loss)
 //   loopback  one-process end-to-end run: receiver + optional emulator +
@@ -25,10 +26,10 @@
 #include <string>
 
 #include "src/core/schemes.h"
+#include "src/eval/cli_scenario.h"
 #include "src/net/loopback.h"
 #include "src/net/udp_receiver.h"
 #include "src/net/udp_sender.h"
-#include "src/serve/remote_policy.h"
 #include "src/util/cli_flags.h"
 
 namespace astraea {
@@ -58,18 +59,13 @@ int Usage() {
 }
 
 // Builds the controller factory for `scheme`. The astraea policy resolves
-// through --serve-socket (self-healing sidecar attach) or --model /
-// ASTRAEA_MODEL / the default checkpoint path. Real single-flow paths own
-// their RTT floor, so the epoch-drain skip on a fresh floor is enabled
-// (see AstraeaHyperparameters::skip_drain_on_fresh_floor).
-CcFactory MakeCc(const std::string& scheme, const std::string& model,
-                 const std::string& serve_socket, TimeNs rpc_timeout, SchemeOptions* options) {
-  if (!serve_socket.empty()) {
-    options->astraea_policy =
-        serve::MakeServedPolicy(serve_socket, rpc_timeout, LoadDefaultPolicy(model));
-  } else {
-    options->astraea_policy = LoadDefaultPolicy(model);
-  }
+// through MakeCliPolicy (--model / ASTRAEA_MODEL, else the distilled policy;
+// --serve-socket attaches to a sidecar). Real single-flow paths own their RTT
+// floor, so the epoch-drain skip on a fresh floor is enabled (see
+// AstraeaHyperparameters::skip_drain_on_fresh_floor).
+CcFactory MakeCc(const std::string& scheme, const PolicyCliOptions& policy,
+                 SchemeOptions* options) {
+  options->astraea_policy = MakeCliPolicy(policy);
   options->astraea_hp.skip_drain_on_fresh_floor = true;
   return MakeSchemeFactory(scheme, options);
 }
@@ -143,9 +139,7 @@ int RunRecv(int argc, char** argv) {
 int RunSend(int argc, char** argv) {
   net::UdpSenderConfig config;
   std::string scheme = "astraea";
-  std::string model;
-  std::string serve_socket;
-  TimeNs rpc_timeout = Milliseconds(20);
+  PolicyCliOptions policy;
   for (int i = 2; i + 1 < argc; i += 2) {
     const std::string flag = argv[i];
     const char* value = argv[i + 1];
@@ -158,11 +152,11 @@ int RunSend(int argc, char** argv) {
     } else if (flag == "--scheme") {
       scheme = value;
     } else if (flag == "--model") {
-      model = value;
+      policy.model = value;
     } else if (flag == "--serve-socket") {
-      serve_socket = value;
+      policy.serve_socket = value;
     } else if (flag == "--rpc-timeout") {
-      rpc_timeout = ParsePositiveDuration("--rpc-timeout", value, Seconds(1.0));
+      policy.rpc_timeout = ParsePositiveDuration("--rpc-timeout", value, Seconds(1.0));
     } else if (flag == "--mss") {
       config.mss = static_cast<uint32_t>(
           ParseInt("--mss", value, static_cast<int64_t>(net::kDataHeaderBytes) + 1, 65000));
@@ -180,7 +174,7 @@ int RunSend(int argc, char** argv) {
     return Usage();
   }
   SchemeOptions options;
-  CcFactory factory = MakeCc(scheme, model, serve_socket, rpc_timeout, &options);
+  CcFactory factory = MakeCc(scheme, policy, &options);
   net::UdpSender sender(factory(), config);
   const bool completed = sender.Run();
   const net::UdpSenderReport& s = sender.report();
@@ -243,9 +237,7 @@ int RunLoopback(int argc, char** argv) {
   net::LoopbackConfig config;
   config.sender.total_bytes = 8 << 20;
   std::string scheme = "astraea";
-  std::string model;
-  std::string serve_socket;
-  TimeNs rpc_timeout = Milliseconds(20);
+  PolicyCliOptions policy;
   double rate_mbps = 0.0;
   TimeNs rtt = 0;
   for (int i = 2; i + 1 < argc; i += 2) {
@@ -256,11 +248,11 @@ int RunLoopback(int argc, char** argv) {
     } else if (flag == "--scheme") {
       scheme = value;
     } else if (flag == "--model") {
-      model = value;
+      policy.model = value;
     } else if (flag == "--serve-socket") {
-      serve_socket = value;
+      policy.serve_socket = value;
     } else if (flag == "--rpc-timeout") {
-      rpc_timeout = ParsePositiveDuration("--rpc-timeout", value, Seconds(1.0));
+      policy.rpc_timeout = ParsePositiveDuration("--rpc-timeout", value, Seconds(1.0));
     } else if (flag == "--rate-mbps") {
       rate_mbps = ParseDouble("--rate-mbps", value, 0.0, 1e5);
     } else if (flag == "--rtt") {
@@ -287,7 +279,7 @@ int RunLoopback(int argc, char** argv) {
   config.emulator.rate = Mbps(rate_mbps);
   config.emulator.one_way_delay = rtt / 2;
   SchemeOptions options;
-  CcFactory factory = MakeCc(scheme, model, serve_socket, rpc_timeout, &options);
+  CcFactory factory = MakeCc(scheme, policy, &options);
   config.make_cc = [&factory] { return factory(); };
 
   const net::LoopbackResult result = net::RunLoopbackTransfer(config);

@@ -1,9 +1,10 @@
-// astraea_serve: the out-of-process inference server (paper §4). Senders —
-// run_scenario / astraea_eval with --serve-socket, or the Fig. 16 serving
-// benchmark — connect over a unix-domain control socket and exchange
-// decisions through shared-memory ring pairs; the server batches requests
-// across all clients into single forward passes and sheds requests it cannot
-// serve before their deadline (admission control, DESIGN.md §12).
+// astraea_serve: the inference server of paper §4, and the repo's one
+// batcher. Senders — run_scenario / astraea_eval / astraea_net with
+// --serve-socket, or the Fig. 16 serving benchmark — connect over a
+// unix-domain control socket and exchange decisions through shared-memory
+// ring pairs; the server batches requests across all clients into single
+// forward passes and sheds requests it cannot serve before their deadline
+// (admission control, DESIGN.md §12).
 //
 //   astraea_serve --socket /tmp/astraea.sock --model models/policy.ckpt
 //                 [--batch-window 500us] [--max-batch 64] [--shed-margin 1.0]
@@ -25,8 +26,8 @@
 //                   zero dropped requests.
 //   SIGINT/SIGTERM  graceful shutdown (writes --metrics-out if given).
 //
-// The model file may be either a raw actor stream (astraea_train --out) or a
-// durable CRC-footer checkpoint container.
+// The model file is an actor file as astraea_train --out writes it (one
+// Mlp::Save stream, read by LoadActorFile).
 
 #include <signal.h>
 
