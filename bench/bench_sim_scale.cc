@@ -4,12 +4,12 @@
 //     original binary-heap scheduler (bench/harness/heap_event_queue.h) on a
 //     sim-shaped timer workload — per-flow self-rescheduling ack timers, and
 //     a variant where every ack also cancels and re-arms the flow's RTO timer
-//     (exactly what Sender does). Both queues run the identical deterministic
-//     event sequence; a digest over the firings both completed (the first
-//     `target`, or as many as a wall-clock-capped side reached, recomputed
-//     untimed for the other side) cross-checks that the speedup is not a
-//     behaviour change. Slow configurations are wall-clock capped and
-//     reported as such.
+//     (the cancel churn the seed heap's linear cancel scan collapses under).
+//     Both queues run the identical deterministic event sequence; a digest
+//     over the firings both completed (the first `target`, or as many as a
+//     wall-clock-capped side reached, recomputed untimed for the other side)
+//     cross-checks that the speedup is not a behaviour change. Slow
+//     configurations are wall-clock capped and reported as such.
 //
 //  2. End-to-end sharded scenarios: RunShardedDumbbell at 1k/10k/100k/1M
 //     total flows (cubic, independent bottlenecks), reporting events/sec and
@@ -46,11 +46,11 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Per-flow timer churn mirroring the sender: an ack-clocked timer firing
-// every ~[50us, 2ms] (deterministic per-flow LCG), and in churn mode an RTO
-// timer at +300ms that every firing cancels and re-arms — so cancelled
-// entries dominate, which is precisely where the heap's linear cancel scan
-// collapses and the calendar queue's pooled O(1) Cancel does not.
+// Per-flow sender-shaped timer churn: an ack-clocked timer firing every
+// ~[50us, 2ms] (deterministic per-flow LCG), and in churn mode an RTO timer
+// at +300ms that every firing cancels and re-arms — so cancelled entries
+// dominate, which is precisely where the heap's linear cancel scan collapses
+// and the calendar queue's pooled O(1) Cancel does not.
 template <typename Queue>
 class TimerWorkload {
  public:

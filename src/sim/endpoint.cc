@@ -32,14 +32,14 @@ void Receiver::Accept(PacketRef ref) {
     return;
   }
   // The reverse path is uncongested: deliver the ACK after a pure delay. The
-  // lambda holds only a weak handle — if the sender is torn down before the
-  // ACK lands, the handle has expired and the ACK is silently discarded.
-  std::weak_ptr<Sender*> weak = sender_->weak_handle();
-  events_->ScheduleAfter(ack_return_delay_, [weak, seq, sent, size, ecn_ce] {
-    if (auto alive = weak.lock()) {
-      (*alive)->OnAckArrival(seq, sent, size, ecn_ce);
-    }
-  });
+  // lambda holds only a liveness handle — if the sender is torn down before
+  // the ACK lands, the handle has expired and the ACK is silently discarded.
+  events_->ScheduleAfter(ack_return_delay_,
+                         [sender = sender_->handle(), seq, sent, size, ecn_ce] {
+                           if (Sender* self = sender.get()) {
+                             self->OnAckArrival(seq, sent, size, ecn_ce);
+                           }
+                         });
 }
 
 Sender::Sender(EventQueue* events, PacketPool* pool, int flow_id, Route data_route,
@@ -56,7 +56,7 @@ Sender::Sender(EventQueue* events, PacketPool* pool, int flow_id, Route data_rou
   ASTRAEA_CHECK(cc_ != nullptr);
 }
 
-Sender::~Sender() = default;
+Sender::~Sender() { self_.cell_->sender = nullptr; }
 
 void Sender::VerifyInvariants(const char* where, bool deep) const {
   if (!invariants::Enabled()) {
@@ -123,19 +123,7 @@ void Sender::Start() {
   cc_->OnFlowStart(events_->now(), config_.mss);
   next_send_time_ = events_->now();
 
-  // Arm the MTP clock.
-  const uint64_t gen = ++mtp_generation_;
-  std::weak_ptr<Sender*> weak = alive_;
-  events_->ScheduleAfter(config_.mtp, [weak, gen] {
-    auto alive = weak.lock();
-    if (!alive) {
-      return;
-    }
-    Sender* self = *alive;
-    if (gen == self->mtp_generation_ && self->running_) {
-      self->MtpTick();
-    }
-  });
+  ScheduleMtpTick(++mtp_generation_);  // arm the MTP clock
 
   if (cc_->pacing_bps().has_value()) {
     SchedulePacedSend();
@@ -151,8 +139,7 @@ void Sender::Stop() {
   }
   running_ = false;
   stats_.stopped_at = events_->now();
-  ++mtp_generation_;  // disarm MTP clock
-  ++rto_generation_;  // disarm RTO
+  ++mtp_generation_;  // disarm MTP clock; the RTO event finds !running_
 }
 
 uint64_t Sender::EffectiveCwnd() const {
@@ -189,13 +176,11 @@ void Sender::SchedulePacedSend() {
   const TimeNs now = events_->now();
   next_send_time_ = std::max(next_send_time_, now);
   pace_pending_ = true;
-  std::weak_ptr<Sender*> weak = alive_;
-  events_->Schedule(next_send_time_, [weak] {
-    auto alive = weak.lock();
-    if (!alive) {
+  events_->Schedule(next_send_time_, [sender = handle()] {
+    Sender* self = sender.get();
+    if (self == nullptr) {
       return;
     }
-    Sender* self = *alive;
     self->pace_pending_ = false;
     if (!self->running_ || self->BudgetExhausted() ||
         self->inflight_bytes_ + self->config_.mss > self->EffectiveCwnd()) {
@@ -312,7 +297,7 @@ void Sender::OnAckArrival(uint64_t seq, TimeNs data_sent_time, uint32_t size_byt
   }
 }
 
-TimeNs Sender::CurrentRto() const {
+TimeNs Sender::rto() const {
   if (meter_.srtt() == 0) {
     // No RTT sample yet: RFC 6298's conservative initial RTO, so long-RTT
     // paths (satellite: 800ms) are not written off before the first ACK.
@@ -322,23 +307,45 @@ TimeNs Sender::CurrentRto() const {
 }
 
 void Sender::ArmRtoTimer() {
-  const uint64_t gen = ++rto_generation_;
-  std::weak_ptr<Sender*> weak = alive_;
-  events_->ScheduleAfter(CurrentRto(), [weak, gen] {
-    if (auto alive = weak.lock()) {
-      (*alive)->OnRtoCheck(gen);
+  rto_deadline_ = events_->now() + rto();
+  // The sequence number a check scheduled now would take: wherever the event
+  // ends up being scheduled from, it runs in this arm's place among events
+  // at the deadline.
+  rto_seq_ = events_->ReserveSeq();
+  if (rto_pending_) {
+    if (rto_event_at_ < rto_deadline_) {
+      return;  // fires early and re-schedules itself to the deadline
+    }
+    // Replaced even when it lies exactly on the deadline: it carries an older
+    // arm's sequence number.
+    events_->Cancel(rto_event_);
+  }
+  ScheduleRtoEvent();
+}
+
+void Sender::ScheduleRtoEvent() {
+  rto_pending_ = true;
+  rto_event_at_ = rto_deadline_;
+  rto_event_ = events_->ScheduleReserved(rto_deadline_, rto_seq_, [sender = handle()] {
+    if (Sender* self = sender.get()) {
+      self->OnRtoCheck();
     }
   });
 }
 
-void Sender::OnRtoCheck(uint64_t generation) {
-  if (generation != rto_generation_ || !running_) {
+void Sender::OnRtoCheck() {
+  rto_pending_ = false;
+  if (!running_) {
+    return;  // stopped; Start() arms a new deadline
+  }
+  if (events_->now() < rto_deadline_) {
+    ScheduleRtoEvent();
     return;
   }
   if (outstanding_.empty()) {
     return;  // nothing in flight; next send re-arms the timer via its ACK
   }
-  if (events_->now() - last_ack_time_ < CurrentRto()) {
+  if (events_->now() - last_ack_time_ < rto()) {
     ArmRtoTimer();
     return;
   }
@@ -353,7 +360,7 @@ void Sender::OnRtoCheck(uint64_t generation) {
   meter_.OnBytesLost(lost);
   if (tracer_ != nullptr) {
     tracer_->Record(events_->now(), TraceEventType::kRtoFire, flow_id_, -1, next_seq_,
-                    static_cast<double>(lost), ToMillis(CurrentRto()));
+                    static_cast<double>(lost), ToMillis(rto()));
   }
 
   LossEvent ev;
@@ -418,21 +425,19 @@ void Sender::MtpTick() {
     TrySend();
   }
 
-  const uint64_t gen = mtp_generation_;
-  std::weak_ptr<Sender*> weak = alive_;
-  events_->ScheduleAfter(config_.mtp, [weak, gen] {
-    auto alive = weak.lock();
-    if (!alive) {
-      return;
-    }
-    Sender* self = *alive;
-    if (gen == self->mtp_generation_ && self->running_) {
-      self->MtpTick();
-    }
-  });
+  ScheduleMtpTick(mtp_generation_);
   if (invariants::Enabled()) {
     VerifyInvariants("MtpTick", ++audit_tick_ % kDeepAuditPeriod == 0);
   }
+}
+
+void Sender::ScheduleMtpTick(uint64_t generation) {
+  events_->ScheduleAfter(config_.mtp, [sender = handle(), generation] {
+    Sender* self = sender.get();
+    if (self != nullptr && generation == self->mtp_generation_ && self->running_) {
+      self->MtpTick();
+    }
+  });
 }
 
 }  // namespace astraea

@@ -6,6 +6,18 @@
 // Loss detection: queues are FIFO and there is a single path, so a gap in the
 // acknowledged sequence space reliably identifies drops (perfect-SACK
 // equivalent of 3-dup-ACK detection); an RTO fallback covers tail losses.
+//
+// RTO: each ACK (and Start, and each timeout) moves the sender's deadline to
+// now + the RTO computed then. One event per sender carries it: an ACK that
+// moves the deadline past the pending event leaves that event alone, and
+// when it fires before the deadline it re-schedules itself to the deadline;
+// an ACK that moves the deadline to or before the pending event (the RTO
+// shrank) cancels it and schedules a new one. So the timeout fires at
+// exactly the last ACK + the RTO computed at that ACK, and among events at
+// that time it runs where a check scheduled at that ACK would run (each arm
+// reserves that check's sequence number), while the queue holds one RTO
+// event per sender. After Stop() the pending event fires once more and does
+// nothing.
 
 #ifndef SRC_SIM_ENDPOINT_H_
 #define SRC_SIM_ENDPOINT_H_
@@ -13,6 +25,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/sim/congestion_controller.h"
 #include "src/sim/event_queue.h"
@@ -26,10 +39,42 @@ namespace astraea {
 
 class Sender;
 
+// Liveness handle to a Sender for the closures that can outlive it: the ACKs
+// a Receiver schedules and the sender's own MTP, pacing and RTO events. get()
+// returns null once the sender is destroyed, so those events are discarded
+// instead of dangling. The handles share one cell whose count is a plain
+// integer, not an atomic: a Network and its senders are driven by one thread
+// at a time, so no two threads ever copy or drop handles to one sender
+// concurrently.
+class SenderHandle {
+ public:
+  SenderHandle(const SenderHandle& other) noexcept : cell_(other.cell_) { ++cell_->refs; }
+  SenderHandle(SenderHandle&& other) noexcept : cell_(std::exchange(other.cell_, nullptr)) {}
+  SenderHandle& operator=(const SenderHandle&) = delete;
+  SenderHandle& operator=(SenderHandle&&) = delete;
+  ~SenderHandle() {
+    if (cell_ != nullptr && --cell_->refs == 0) {
+      delete cell_;
+    }
+  }
+
+  Sender* get() const { return cell_->sender; }
+
+ private:
+  friend class Sender;
+  struct Cell {
+    Sender* sender;
+    uint64_t refs;
+  };
+  explicit SenderHandle(Sender* sender) : cell_(new Cell{sender, 1}) {}
+
+  Cell* cell_;
+};
+
 // Terminal sink of a data route: acknowledges each packet back to the sender
 // after the configured reverse-path delay. The ACK-delivery lambda holds a
-// weak handle to the sender, so a sender destroyed while ACKs are in flight
-// (teardown mid-simulation) silently expires them instead of dangling.
+// SenderHandle, so a sender destroyed while ACKs are in flight (teardown
+// mid-simulation) silently expires them instead of dangling.
 class Receiver : public PacketSink {
  public:
   Receiver(EventQueue* events, PacketPool* pool, Sender* sender, TimeNs ack_return_delay)
@@ -120,9 +165,13 @@ class Sender {
   TimeNs min_rtt() const { return meter_.min_rtt(); }
   const MtpReport& last_report() const { return last_report_; }
 
-  // Liveness token: scheduled lambdas (ACK delivery, timers) capture this
-  // weakly and no-op once the sender is destroyed. Expires in ~Sender().
-  std::weak_ptr<Sender*> weak_handle() const { return alive_; }
+  // Liveness handle for scheduled lambdas (ACK delivery, timers): they no-op
+  // once the sender is destroyed. Expires in ~Sender().
+  SenderHandle handle() const { return self_; }
+
+  // The retransmission timeout an ACK arriving now would arm:
+  // max(min_rto, srtt + 4 * rttvar), or 1 s before the first RTT sample.
+  TimeNs rto() const;
 
   // Attaches an event tracer recording send/ack/loss/rto-fire/cwnd for this
   // flow, and forwards it to the controller (kAction decisions). Null detaches.
@@ -152,9 +201,11 @@ class Sender {
   void SchedulePacedSend();          // paced send loop
   void SendPacket();
   void DetectGapLosses(uint64_t acked_seq);
-  TimeNs CurrentRto() const;
+  // Moves the RTO deadline to now + rto() (see the file comment).
   void ArmRtoTimer();
-  void OnRtoCheck(uint64_t generation);
+  void ScheduleRtoEvent();
+  void OnRtoCheck();
+  void ScheduleMtpTick(uint64_t generation);
   void MtpTick();
 
   EventQueue* events_;
@@ -165,9 +216,7 @@ class Sender {
   SenderConfig config_;
   Tracer* tracer_ = nullptr;
 
-  // See weak_handle(). shared_ptr-to-self-pointer rather than
-  // enable_shared_from_this because senders are held by unique_ptr/value.
-  std::shared_ptr<Sender*> alive_ = std::make_shared<Sender*>(this);
+  SenderHandle self_{this};  // see handle()
 
   bool running_ = false;
   uint64_t next_seq_ = 0;
@@ -183,7 +232,14 @@ class Sender {
   uint64_t interval_ce_bytes_ = 0;
   uint64_t interval_acked_bytes_ = 0;
   TimeNs last_ack_time_ = 0;
-  uint64_t rto_generation_ = 0;
+
+  // RTO: the deadline the last arm set, the sequence number it reserved, and
+  // the one pending event (if any), which fires at or before the deadline.
+  TimeNs rto_deadline_ = 0;
+  uint64_t rto_seq_ = 0;
+  bool rto_pending_ = false;
+  TimeNs rto_event_at_ = 0;
+  uint64_t rto_event_ = 0;
 
   // Paced-mode bookkeeping.
   bool pace_pending_ = false;

@@ -14,29 +14,7 @@ EventQueue::EventQueue() {
   occupied_.assign(num_buckets_ / 64, 0);
 }
 
-uint32_t EventQueue::AcquireSlot() {
-  if (free_head_ != kNil) {
-    const uint32_t idx = free_head_;
-    free_head_ = slot(idx).next;
-    ++recycled_;
-    return idx;
-  }
-  if ((size_t{allocated_} >> kChunkShift) == chunks_.size()) {
-    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-  }
-  return allocated_++;
-}
-
-void EventQueue::FreeSlot(uint32_t idx) {
-  Slot& s = slot(idx);
-  ++s.gen;  // stale handles (Cancel after fire, double cancel) stop matching
-  s.cancelled = false;
-  s.fn = Callback();  // release captured state promptly
-  s.next = free_head_;
-  free_head_ = idx;
-}
-
-uint64_t EventQueue::Schedule(TimeNs when, Callback fn) {
+uint32_t EventQueue::AcquireSlot(TimeNs when, uint64_t seq) {
   // Causality: nothing may be scheduled in the past. With the invariant
   // checker on this is a reportable (and in fatal mode, throwable) violation;
   // the ASTRAEA_CHECK below stays as the unconditional backstop.
@@ -55,15 +33,35 @@ uint64_t EventQueue::Schedule(TimeNs when, Callback fn) {
     Rebuild();
   }
 
-  const uint32_t idx = AcquireSlot();
+  uint32_t idx;
+  if (free_head_ != kNil) {
+    idx = free_head_;
+    free_head_ = slot(idx).next;
+    ++recycled_;
+  } else {
+    if ((size_t{allocated_} >> kChunkShift) == chunks_.size()) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+    }
+    idx = allocated_++;
+  }
   Slot& s = slot(idx);
   s.when = when;
-  s.seq = next_seq_++;
-  s.cancelled = false;
-  s.fn = std::move(fn);
+  s.seq = seq;
+  return idx;
+}
+
+uint64_t EventQueue::Enqueue(uint32_t idx) {
   ++live_;
   InsertActive(idx);
-  return (static_cast<uint64_t>(s.gen) << 32) | idx;
+  return (static_cast<uint64_t>(slot(idx).gen) << 32) | idx;
+}
+
+void EventQueue::FreeSlot(uint32_t idx) {
+  Slot& s = slot(idx);
+  s.cancelled = false;
+  s.fn.Reset();  // release captured state promptly
+  s.next = free_head_;
+  free_head_ = idx;
 }
 
 void EventQueue::InsertActive(uint32_t idx) {
@@ -253,9 +251,26 @@ void EventQueue::Rebuild() {
   }
   collect(overflow_head_);
 
-  TimeNs max_when = now_;
+  // The window spans twice the time to the 90th-percentile pending event, so
+  // a bucket is about as wide as the mean spacing of the nearest 90% of
+  // events. The few far timers (each sender's RTO and MTP tick) then wait in
+  // the overflow ladder instead of stretching every bucket across the RTO
+  // horizon, where most events would share a bucket and out-of-order inserts
+  // would walk it. Where far events are many (a timer-heavy population), the
+  // 90th percentile lies among them and the window spans them all.
+  std::vector<TimeNs> offsets;
+  offsets.reserve(items.size());
   for (const uint32_t idx : items) {
-    max_when = std::max(max_when, slot(idx).when);
+    offsets.push_back(slot(idx).when - now_);
+  }
+  TimeNs span = 0;
+  if (!offsets.empty()) {
+    span = *std::max_element(offsets.begin(), offsets.end());
+    const auto p90 = offsets.begin() + static_cast<std::ptrdiff_t>((offsets.size() - 1) * 9 / 10);
+    std::nth_element(offsets.begin(), p90, offsets.end());
+    if (*p90 > 0 && *p90 < span / 2) {
+      span = 2 * *p90;
+    }
   }
 
   size_t target = kMinBuckets;
@@ -263,9 +278,7 @@ void EventQueue::Rebuild() {
     target <<= 1;
   }
   num_buckets_ = target;
-  // Width spans the full pending horizon, so after a rebuild every event fits
-  // the window and the overflow ladder starts empty.
-  width_ = (max_when - now_) / static_cast<TimeNs>(num_buckets_) + 1;
+  width_ = span / static_cast<TimeNs>(num_buckets_) + 1;
   base_day_ = DayOf(now_);
   bucket_head_.assign(num_buckets_, kNil);
   bucket_tail_.assign(num_buckets_, kNil);
@@ -292,10 +305,11 @@ void EventQueue::Cancel(uint64_t handle) {
     return;
   }
   Slot& s = slot(idx);
-  if (s.gen != gen || s.cancelled) {
-    return;  // stale handle: the event already ran, was cancelled, or the
-             // slot was recycled for a newer event
+  if (s.gen != gen) {
+    return;  // stale handle: the event ran or is running, was cancelled, or
+             // the slot was recycled for a newer event
   }
+  ++s.gen;
   s.cancelled = true;
   --live_;
   ++cancelled_pending_;
@@ -313,11 +327,14 @@ void EventQueue::Dispatch(uint32_t idx) {
   now_ = s.when;
   ++executed_;
   --live_;
-  // Move the closure out and free the slot *before* invoking: the callback
-  // may schedule new events, which may legitimately recycle this very slot.
-  Callback fn = std::move(s.fn);
+  // The closure runs in its slot, which is freed only afterwards. Bumping the
+  // generation first makes the event's own handle stale, so a callback that
+  // cancels it is a no-op. The callback may schedule events meanwhile: they
+  // take other slots (this one is on no list), and slabs never move when the
+  // pool grows or the calendar rebuilds, so `s` stays valid.
+  ++s.gen;
+  s.fn();
   FreeSlot(idx);
-  fn();
 }
 
 void EventQueue::RunUntil(TimeNs until) {

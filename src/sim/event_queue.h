@@ -8,8 +8,9 @@
 //
 // Implementation (see DESIGN.md §11 for the full layout):
 //  * Event slots live in chunked slabs recycled through a freelist, so a
-//    schedule/dispatch pair costs index arithmetic — no allocation. Closures
-//    are stored inline in the slot (InlineFunction), so no malloc either.
+//    schedule/dispatch pair costs index arithmetic — no allocation. Each
+//    closure is built in its slot (InlineFunction), run there and destroyed
+//    there: no malloc, and no copy or move after the call site builds it.
 //  * Schedule() returns a generation-stamped handle; Cancel() is an O(1)
 //    stamp check + flag write (the seed implementation kept a vector of
 //    cancelled ids and scanned it linearly on every dispatch — O(n²) under
@@ -22,15 +23,17 @@
 //    Events beyond the window wait in an unsorted overflow ladder and are
 //    pulled in a rotation when the window reaches them. An occupancy bitmap
 //    makes "find next nonempty bucket" a few word scans.
-//  * The calendar rebuilds (new bucket count/width from the live event count
-//    and time span) when the event population outgrows or undershoots the
-//    bucket array; amortized O(1) per operation.
+//  * The calendar rebuilds (bucket count from the live event count, width
+//    from the time to the 90th-percentile pending event) when the event
+//    population outgrows or undershoots the bucket array; amortized O(1) per
+//    operation.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/util/inline_function.h"
@@ -41,21 +44,40 @@ namespace astraea {
 
 class EventQueue {
  public:
-  using Callback = InlineFunction<48>;
-
   EventQueue();
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Schedules `fn` at absolute time `when` (>= now). Returns a handle that can
-  // be passed to Cancel().
-  uint64_t Schedule(TimeNs when, Callback fn);
-  uint64_t ScheduleAfter(TimeNs delay, Callback fn) { return Schedule(now_ + delay, std::move(fn)); }
+  // Schedules the void() callable `fn` at absolute time `when` (>= now),
+  // constructing it in its event slot. Returns a handle that can be passed to
+  // Cancel().
+  template <typename F>
+  uint64_t Schedule(TimeNs when, F&& fn) {
+    return ScheduleReserved(when, ReserveSeq(), std::forward<F>(fn));
+  }
+  template <typename F>
+  uint64_t ScheduleAfter(TimeNs delay, F&& fn) {
+    return Schedule(now_ + delay, std::forward<F>(fn));
+  }
 
-  // O(1) cancel of a pending event. A handle whose event already ran (or was
-  // already cancelled) is stale — its slot generation no longer matches — and
-  // the call is a no-op, so cancelling twice or late is always safe.
+  // Takes the tie-break sequence number a Schedule() call made now would
+  // take, for an event whose time is only settled later. ScheduleReserved()
+  // with that number places the event, among events at the same time, where
+  // scheduling it at the reservation would have placed it. The sender's one
+  // RTO event uses this to keep the dispatch order of an event per ACK.
+  uint64_t ReserveSeq() { return next_seq_++; }
+  template <typename F>
+  uint64_t ScheduleReserved(TimeNs when, uint64_t seq, F&& fn) {
+    const uint32_t idx = AcquireSlot(when, seq);
+    slot(idx).fn.Emplace(std::forward<F>(fn));
+    return Enqueue(idx);
+  }
+
+  // O(1) cancel of a pending event. A handle whose event already ran, is
+  // running, or was already cancelled is stale — its slot generation no
+  // longer matches — and the call is a no-op, so cancelling twice, late or
+  // from the event's own callback is always safe.
   void Cancel(uint64_t handle);
 
   // Runs events until the queue is empty or the next event is after `until`.
@@ -87,9 +109,10 @@ class EventQueue {
     TimeNs when = 0;
     uint64_t seq = 0;    // FIFO tie-break, globally increasing
     uint32_t next = kNil;  // intrusive link: bucket chain / overflow / freelist
-    uint32_t gen = 0;    // bumped on every free; stamps Cancel handles
+    uint32_t gen = 0;    // stamps Cancel handles; bumped when the event is
+                         // cancelled or starts running
     bool cancelled = false;
-    Callback fn;
+    InlineFunction<48> fn;
   };
 
   Slot& slot(uint32_t idx) { return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)]; }
@@ -99,7 +122,13 @@ class EventQueue {
 
   int64_t DayOf(TimeNs when) const { return static_cast<int64_t>(when / width_); }
 
-  uint32_t AcquireSlot();
+  // Schedule's untyped halves. AcquireSlot checks causality, grows or
+  // collects the calendar and takes a free slot stamped (when, seq); the
+  // caller builds the closure in it, then Enqueue files it and returns its
+  // handle.
+  uint32_t AcquireSlot(TimeNs when, uint64_t seq);
+  uint64_t Enqueue(uint32_t idx);
+  // Destroys the slot's closure and returns the slot to the freelist.
   void FreeSlot(uint32_t idx);
 
   // Places an active slot into its bucket (sorted) or the overflow ladder.
@@ -116,7 +145,7 @@ class EventQueue {
   uint32_t PopReady(TimeNs limit);
 
   // Rebuilds the calendar: re-derives bucket count and width from the live
-  // population and its time span, drops cancelled slots, reinserts the rest.
+  // population and its spacing, drops cancelled slots, reinserts the rest.
   void Rebuild();
 
   // Dispatch loop shared by RunUntil/RunAll.

@@ -1,6 +1,7 @@
 #include "src/train/promotion.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -90,12 +91,15 @@ GateReport PromotionGate::CompareFiles(const std::string& candidate_path,
   // The candidate must be a real trained network; LoadFromFile throws
   // SerializationError otherwise (no silent distilled fallback here).
   std::shared_ptr<const Policy> candidate = MlpPolicy::LoadFromFile(candidate_path);
-  std::shared_ptr<const Policy> incumbent;
-  try {
-    incumbent = MlpPolicy::LoadFromFile(incumbent_path);
-  } catch (const SerializationError&) {
-    incumbent = std::make_shared<DistilledPolicy>();
-  }
+  // Only a missing incumbent means "nothing installed yet". One that exists
+  // but does not load is a damaged install, and its SerializationError
+  // propagates instead of reading as no model at all.
+  std::error_code ignored;
+  const bool missing = std::filesystem::status(incumbent_path, ignored).type() ==
+                       std::filesystem::file_type::not_found;
+  std::shared_ptr<const Policy> incumbent =
+      missing ? std::shared_ptr<const Policy>(std::make_shared<DistilledPolicy>())
+              : MlpPolicy::LoadFromFile(incumbent_path);
   return Compare(std::move(candidate), std::move(incumbent));
 }
 

@@ -59,8 +59,9 @@ class PromotionGate {
   // a real incumbent without containing a network; that happened once, when
   // the committed checkpoint stopped loading and every consumer fell back
   // without saying so. Throws SerializationError if it does not parse.
-  // A missing/unreadable incumbent is scored as the distilled fallback, so
-  // first-ever promotions have a meaningful bar to clear.
+  // A missing incumbent is scored as the distilled fallback, so first-ever
+  // promotions have a meaningful bar to clear; an incumbent file that exists
+  // but does not load throws SerializationError naming it.
   GateReport CompareFiles(const std::string& candidate_path,
                           const std::string& incumbent_path) const;
 

@@ -1,18 +1,21 @@
-// InlineFunction: a move-only std::function<void()> replacement whose small
-// closures live in a fixed inline buffer instead of on the heap.
+// InlineFunction: a std::function<void()> replacement that is built, invoked
+// and destroyed in place.
 //
-// The simulator schedules hundreds of millions of events per run; with
-// std::function every closure larger than the library's tiny SBO (16 bytes on
-// libstdc++ — smaller than a captured weak handle) costs a malloc/free pair on
-// the hottest path in the repo. All simulator closures capture at most a few
-// pointers and integers, so a 48-byte inline buffer erases those allocations
-// entirely; oversized callables transparently fall back to the heap.
+// The simulator schedules millions of events per run. EventQueue constructs
+// each scheduled closure directly in its event slot, runs it there and
+// destroys it there, so a closure is never relocated after the Schedule()
+// call site builds it; hence the type is neither copyable nor movable.
+// std::function's libstdc++ small-buffer holds 16 bytes (two pointers), less
+// than the receiver's ACK closure (a sender handle, sequence number, send
+// time, size and CE mark: 32 bytes), and would cost a malloc/free pair per
+// event on the hottest path in the repo. Every simulator closure captures a
+// few pointers and integers, so a 48-byte inline buffer holds them all;
+// larger callables transparently fall back to the heap.
 
 #ifndef SRC_UTIL_INLINE_FUNCTION_H_
 #define SRC_UTIL_INLINE_FUNCTION_H_
 
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -24,12 +27,17 @@ class InlineFunction {
  public:
   InlineFunction() = default;
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineFunction(F&& fn) {  // NOLINT(google-explicit-constructor)
+  InlineFunction(const InlineFunction&) = delete;
+  InlineFunction& operator=(const InlineFunction&) = delete;
+
+  ~InlineFunction() { Reset(); }
+
+  // Builds `fn` in this object's storage, destroying any callable held before.
+  template <typename F>
+  void Emplace(F&& fn) {
     using D = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, D&>, "InlineFunction holds void() callables");
+    Reset();
     if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
       vt_ = &InlineOps<D>::vtable;
@@ -39,71 +47,39 @@ class InlineFunction {
     }
   }
 
-  InlineFunction(InlineFunction&& other) noexcept { MoveFrom(other); }
-
-  InlineFunction& operator=(InlineFunction&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-
-  InlineFunction(const InlineFunction&) = delete;
-  InlineFunction& operator=(const InlineFunction&) = delete;
-
-  ~InlineFunction() { Reset(); }
-
   void operator()() { vt_->invoke(buf_); }
 
-  explicit operator bool() const { return vt_ != nullptr; }
+  // Destroys the held callable, if any.
+  void Reset() {
+    if (vt_ != nullptr) {
+      if (vt_->destroy != nullptr) {
+        vt_->destroy(buf_);
+      }
+      vt_ = nullptr;
+    }
+  }
 
  private:
   struct VTable {
     void (*invoke)(void*);
-    // Move-constructs into raw `dst` storage and destroys the `src` object.
-    void (*relocate)(void* dst, void* src);
-    void (*destroy)(void*);
+    void (*destroy)(void*);  // null when there is nothing to destroy
   };
 
   template <typename D>
   struct InlineOps {
     static void Invoke(void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); }
-    static void Relocate(void* dst, void* src) {
-      D* s = std::launder(reinterpret_cast<D*>(src));
-      ::new (dst) D(std::move(*s));
-      s->~D();
-    }
     static void Destroy(void* p) { std::launder(reinterpret_cast<D*>(p))->~D(); }
-    static constexpr VTable vtable{&Invoke, &Relocate, &Destroy};
+    static constexpr VTable vtable{&Invoke,
+                                   std::is_trivially_destructible_v<D> ? nullptr : &Destroy};
   };
 
   template <typename D>
   struct HeapOps {
     static D* Ptr(void* p) { return *reinterpret_cast<D**>(p); }
     static void Invoke(void* p) { (*Ptr(p))(); }
-    static void Relocate(void* dst, void* src) {
-      // The heap object itself does not move; only the pointer does.
-      std::memcpy(dst, src, sizeof(D*));
-    }
     static void Destroy(void* p) { delete Ptr(p); }
-    static constexpr VTable vtable{&Invoke, &Relocate, &Destroy};
+    static constexpr VTable vtable{&Invoke, &Destroy};
   };
-
-  void MoveFrom(InlineFunction& other) noexcept {
-    vt_ = other.vt_;
-    if (vt_ != nullptr) {
-      vt_->relocate(buf_, other.buf_);
-      other.vt_ = nullptr;
-    }
-  }
-
-  void Reset() {
-    if (vt_ != nullptr) {
-      vt_->destroy(buf_);
-      vt_ = nullptr;
-    }
-  }
 
   const VTable* vt_ = nullptr;
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/sim/network.h"
 
@@ -223,6 +225,143 @@ TEST(SenderTest, DeliveryRateEstimateTracksThroughput) {
   EXPECT_NEAR(t.controller->last_ack.delivery_rate_bps / Mbps(100), 1.0, 0.1);
 }
 
+// A data path whose one-way delay and loss the test changes mid-flow: each
+// packet reaches the receiver `delay` after it is sent, but no sooner than
+// 1 ms after the packet ahead of it (the path stays FIFO and spreads the
+// ACKs, so none lands exactly on an RTO deadline), or is dropped while
+// `drop` is set.
+class SteeredPath : public PacketSink {
+ public:
+  SteeredPath(EventQueue* events, PacketPool* pool, Receiver* receiver)
+      : events_(events), pool_(pool), receiver_(receiver) {}
+
+  void Accept(PacketRef ref) override {
+    if (drop) {
+      pool_->Release(ref);
+      return;
+    }
+    last_arrival_ = std::max(last_arrival_ + Milliseconds(1), events_->now() + delay);
+    events_->Schedule(last_arrival_, [this, ref] { receiver_->Accept(ref); });
+  }
+
+  TimeNs delay = Milliseconds(295);
+  bool drop = false;
+
+ private:
+  EventQueue* events_;
+  PacketPool* pool_;
+  Receiver* receiver_;
+  TimeNs last_arrival_ = 0;
+};
+
+// Records, at every ACK, the deadline the sender arms (ACK time + the RTO
+// computed at that ACK), and the time of every timeout.
+class RtoProbe : public FixedWindow {
+ public:
+  using FixedWindow::FixedWindow;
+
+  void OnAck(const AckEvent& ev) override {
+    FixedWindow::OnAck(ev);
+    last_rto = sender->rto();
+    const TimeNs deadline = ev.now + last_rto;
+    deadline_moved_earlier = deadline_moved_earlier || deadline < last_deadline;
+    last_deadline = deadline;
+  }
+  void OnLoss(const LossEvent& ev) override {
+    FixedWindow::OnLoss(ev);
+    if (ev.is_timeout) {
+      timeouts.push_back(ev.now);
+    }
+  }
+
+  const Sender* sender = nullptr;
+  TimeNs last_rto = 0;
+  TimeNs last_deadline = 0;
+  bool deadline_moved_earlier = false;
+  std::vector<TimeNs> timeouts;
+};
+
+struct RtoRig {
+  RtoRig() {
+    auto cc = std::make_unique<RtoProbe>(10 * 1500);
+    probe = cc.get();
+    sender = std::make_unique<Sender>(&events, &pool, /*flow_id=*/0, Route{&path}, std::move(cc),
+                                      SenderConfig{});
+    receiver.set_sender(sender.get());
+    probe->sender = sender.get();
+  }
+
+  EventQueue events;
+  PacketPool pool;
+  Receiver receiver{&events, &pool, nullptr, /*ack_return_delay=*/Milliseconds(5)};
+  SteeredPath path{&events, &pool, &receiver};
+  RtoProbe* probe = nullptr;
+  std::unique_ptr<Sender> sender;
+};
+
+// The timeout fires at exactly the last ACK + the RTO computed at that ACK,
+// also when that RTO is shorter than the ones armed before it (srtt and
+// rttvar fall mid-flow, so the pending RTO event lies beyond the new
+// deadline), and after Stop()/Start() (the restart + the RTO armed then).
+TEST(SenderTest, RtoFiresAtLastAckPlusTheRtoOfThatAck) {
+  RtoRig rig;
+  rig.sender->Start();
+  rig.events.RunUntil(Seconds(2.0));  // 300 ms RTT: the RTO settles near 300 ms
+  ASSERT_GT(rig.probe->acks, 0);
+  EXPECT_TRUE(rig.probe->timeouts.empty());
+
+  // The RTT falls to 10 ms. Once the packets queued on the long path drain
+  // (from about 2.11 s) rttvar jumps, then the RTO shrinks ACK by ACK to
+  // min_rto. Black-hole the path while it is still shrinking: the last ACK
+  // lands at 2.127 s.
+  rig.path.delay = Milliseconds(5);
+  rig.probe->deadline_moved_earlier = false;
+  rig.events.RunUntil(Seconds(2.1175));
+  rig.path.drop = true;
+  rig.events.RunUntil(Seconds(2.2));
+  EXPECT_TRUE(rig.probe->deadline_moved_earlier);
+  EXPECT_GT(rig.probe->last_rto, SenderConfig{}.min_rto);
+  const TimeNs deadline = rig.probe->last_deadline;
+  rig.events.RunUntil(Seconds(3.0));
+  ASSERT_FALSE(rig.probe->timeouts.empty());
+  EXPECT_EQ(rig.probe->timeouts.front(), deadline);
+
+  // Stopped, the flow never times out; restarted, it times out at the
+  // restart + the RTO armed then, and again one RTO after that.
+  rig.sender->Stop();
+  const size_t fired = rig.probe->timeouts.size();
+  rig.events.RunUntil(Seconds(5.0));
+  EXPECT_EQ(rig.probe->timeouts.size(), fired);
+  rig.sender->Start();
+  const TimeNs first = rig.events.now() + rig.sender->rto();
+  rig.events.RunUntil(first);
+  ASSERT_EQ(rig.probe->timeouts.size(), fired + 1);
+  EXPECT_EQ(rig.probe->timeouts.back(), first);
+  const TimeNs second = first + rig.sender->rto();
+  rig.events.RunUntil(second);
+  ASSERT_EQ(rig.probe->timeouts.size(), fired + 2);
+  EXPECT_EQ(rig.probe->timeouts.back(), second);
+}
+
+// One RTO event per sender: at most 10 x 60 packets are in flight, each with
+// at most one pending event (service, propagation or ACK return), plus one
+// MTP and one RTO event per flow. A stale RTO check left by every ACK of the
+// last RTO would hold almost 2 000 slots here.
+TEST(SenderTest, EventPoolStaysNearTheInFlightCount) {
+  Network net(1);
+  net.AddLink(DefaultLink());
+  for (int i = 0; i < 10; ++i) {
+    FlowSpec spec;
+    spec.scheme = "fixed";
+    spec.make_cc = [] { return std::make_unique<FixedWindow>(60 * 1500); };
+    spec.start = Milliseconds(10) * i;
+    net.AddFlow(spec);
+  }
+  net.Run(Seconds(3.0));
+  EXPECT_GT(net.flow_stats(9).bytes_acked, 0u);
+  EXPECT_LT(net.events().slot_capacity(), 1000u);
+}
+
 TEST(ReceiverTest, CountsReceivedBytes) {
   TestNet t(DefaultLink(), 20 * 1500);
   t.net->Run(Seconds(2.0));
@@ -232,7 +371,7 @@ TEST(ReceiverTest, CountsReceivedBytes) {
 // Regression: the receiver's delayed-ACK lambda used to capture a raw
 // Sender*, so destroying a sender with ACKs still in flight (mid-simulation
 // teardown) dereferenced freed memory when those events later fired. The
-// lambda now holds a weak liveness handle; expired ACKs — and the sender's
+// lambda now holds a liveness handle; expired ACKs — and the sender's
 // own pending MTP/RTO/pacing timers — must be silently discarded. Run under
 // ASan to catch the use-after-free pre-fix.
 TEST(ReceiverTest, AckAfterSenderDestroyedIsDiscarded) {

@@ -155,6 +155,89 @@ TEST(EventQueueTest, CancelThenRescheduleReusesSlotWithoutStaleFire) {
   EXPECT_GT(q.slots_recycled(), 0u);
 }
 
+// A running event's handle is stale: cancelling it from its own callback
+// must not count it twice or touch the events the callback schedules.
+TEST(EventQueueTest, CallbackCancellingItsOwnHandleIsANoOp) {
+  EventQueue q;
+  uint64_t self = 0;
+  int fired = 0;
+  size_t pending_in_callback = 0;
+  q.Schedule(Milliseconds(20), [&] { ++fired; });
+  self = q.Schedule(Milliseconds(10), [&] {
+    q.Schedule(Milliseconds(15), [&] { ++fired; });
+    const size_t before = q.pending();
+    q.Cancel(self);
+    pending_in_callback = q.pending();
+    EXPECT_EQ(pending_in_callback, before);
+  });
+  q.RunAll();
+  EXPECT_EQ(pending_in_callback, 2u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+// A callback runs in its slot, so everything it schedules while it runs must
+// leave that slot alone: here enough events to add a slab and rebuild the
+// calendar, after which the callback still reads its own captures.
+TEST(EventQueueTest, CallbackCanGrowThePoolAndRebuildTheCalendar) {
+  constexpr int kEvents = 5000;  // more than one 4096-slot slab
+  EventQueue q;
+  std::vector<int> order;
+  int tail_check = 0;
+  const std::vector<int> captured = {7, 8, 9};
+  q.Schedule(Milliseconds(1), [&q, &order, &tail_check, captured] {
+    for (int i = 0; i < kEvents; ++i) {
+      q.ScheduleAfter(Microseconds(kEvents - i), [&order, i] { order.push_back(i); });
+    }
+    tail_check = captured[0] + captured[1] + captured[2];
+  });
+  q.RunAll();
+  EXPECT_EQ(tail_check, 24);
+  EXPECT_GT(q.slot_capacity(), 4096u);
+  EXPECT_GT(q.calendar_rebuilds(), 0u);
+  ASSERT_EQ(order.size(), static_cast<size_t>(kEvents));
+  for (int i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(order[i], kEvents - 1 - i);  // latest-scheduled is soonest
+  }
+}
+
+// A closure too big for the inline buffer lives on the heap; it must still
+// run once and be destroyed once, whether it runs or is cancelled.
+TEST(EventQueueTest, OversizedClosureRunsOnceAndIsDestroyedOnce) {
+  struct Big {
+    Big(int* run_count, int* destroy_count) : runs(run_count), destroyed(destroy_count) {}
+    Big(Big&& other) noexcept : runs(other.runs), destroyed(other.destroyed) {
+      other.destroyed = nullptr;  // a moved-from shell is not the closure
+    }
+    ~Big() {
+      if (destroyed != nullptr) {
+        ++*destroyed;
+      }
+    }
+    void operator()() { ++*runs; }
+    int* runs;
+    int* destroyed;
+    char payload[64] = {};
+  };
+  static_assert(sizeof(Big) > 48);
+  int runs = 0;
+  int destroyed = 0;
+  int cancelled_runs = 0;
+  int cancelled_destroyed = 0;
+  {
+    EventQueue q;
+    q.Schedule(Milliseconds(1), Big(&runs, &destroyed));
+    q.Cancel(q.Schedule(Milliseconds(2), Big(&cancelled_runs, &cancelled_destroyed)));
+    q.RunAll();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(cancelled_runs, 0);
+    EXPECT_EQ(cancelled_destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(cancelled_destroyed, 1);
+}
+
 // Regression for the seed scheduler's O(n) cancel scan: 100k timers that are
 // each cancelled and re-armed (the sender's RTO pattern). Linear-scan
 // cancellation makes this quadratic (~10^10 steps); the pooled O(1) Cancel

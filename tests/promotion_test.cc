@@ -95,6 +95,31 @@ TEST(PromotionGateTest, CompareFilesRejectsAnUnparsableCandidate) {
   std::filesystem::remove(garbage);
 }
 
+TEST(PromotionGateTest, CompareFilesFallsBackOnlyForAMissingIncumbent) {
+  const std::string model = std::string(ASTRAEA_SOURCE_DIR) + "/models/astraea_policy_trained.ckpt";
+  // The first 100 bytes of a real checkpoint: an install damaged mid-write.
+  const std::string truncated = "/tmp/astraea_promotion_truncated.ckpt";
+  {
+    std::ifstream in(model, std::ios::binary);
+    std::string head(100, '\0');
+    ASSERT_TRUE(in.read(head.data(), static_cast<std::streamsize>(head.size())));
+    std::ofstream(truncated, std::ios::binary) << head;
+  }
+  PromotionGate gate(QuickGate());
+  try {
+    gate.CompareFiles(model, truncated);
+    ADD_FAILURE() << "a truncated incumbent was scored instead of rejected";
+  } catch (const SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find(truncated), std::string::npos) << e.what();
+  }
+  std::filesystem::remove(truncated);
+
+  // No incumbent installed: the candidate is scored against the distilled
+  // policy.
+  const GateReport report = gate.CompareFiles(model, "/nonexistent/astraea_incumbent.ckpt");
+  EXPECT_EQ(report.scenarios.size(), 1u);
+}
+
 TEST(PromotionGateTest, ReportSerializesToJson) {
   PromotionGate gate(QuickGate());
   const GateReport report = gate.Compare(std::make_shared<DistilledPolicy>(),

@@ -41,6 +41,7 @@
 #include "src/util/chaos.h"
 #include "src/util/cli_flags.h"
 #include "src/util/metrics.h"
+#include "src/util/time.h"
 
 namespace astraea {
 namespace {
@@ -95,12 +96,14 @@ int RunServer(const serve::InferenceServerConfig& config, const std::string& met
       chaos_runner = std::make_unique<chaos::ChaosRunner>(chaos_schedule, chaos_offset);
     }
 
-    std::printf("astraea_serve: model %s (input dim %d), socket %s, batch window %s, "
+    // The window is sub-millisecond by default, so it prints in µs (500us).
+    std::printf("astraea_serve: model %s (input dim %d), socket %s, batch window %.10gus, "
                 "max batch %zu, shed margin %.2f\n",
                 server.config().model_path.c_str(), server.model_input_dim(),
                 server.config().socket_path.c_str(),
-                FormatTime(server.config().batch_window).c_str(), server.config().max_batch,
-                server.config().shed_margin);
+                static_cast<double>(server.config().batch_window) /
+                    static_cast<double>(kNanosPerMicro),
+                server.config().max_batch, server.config().shed_margin);
     std::fflush(stdout);
     server.Run();
     g_server = nullptr;
