@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "src/eval/table.h"
+#include "src/nn/mlp.h"
 
 namespace astraea {
 namespace {
@@ -58,6 +59,14 @@ BenchRecord::BenchRecord(std::string bench, int argc, char** argv,
       args_ok_ = false;
     }
   }
+  provenance_ = {
+      {"build_type", ASTRAEA_BUILD_TYPE},
+      {"compiler", ASTRAEA_COMPILER},
+      {"cxx_flags", ASTRAEA_CXX_FLAGS},
+      {"host_cores", std::to_string(std::thread::hardware_concurrency())},
+      {"nn_kernels", BatchedKernelVariant()},
+      {"quick", quick_ ? "true" : "false"},
+  };
 }
 
 std::string BenchRecord::Value(const std::string& option, const std::string& fallback) const {
@@ -89,10 +98,12 @@ std::string BenchRecord::ToJson() const {
                                    [](const CheckResult& c) { return c.ok; });
   std::string json = "{\n  \"bench\": " + JsonString(bench_) +
                      ",\n  \"correct\": " + (correct ? "true" : "false") +
-                     ",\n  \"provenance\": {\"host_cores\": " +
-                     JsonString(std::to_string(std::thread::hardware_concurrency())) +
-                     ", \"quick\": " + JsonString(quick_ ? "true" : "false") +
-                     "},\n  \"checks\": [";
+                     ",\n  \"provenance\": {";
+  for (auto it = provenance_.begin(); it != provenance_.end(); ++it) {
+    json += std::string(it != provenance_.begin() ? ", " : "") + JsonString(it->first) + ": " +
+            JsonString(it->second);
+  }
+  json += "},\n  \"checks\": [";
   for (size_t i = 0; i < checks_.size(); ++i) {
     const CheckResult& c = checks_[i];
     json += std::string(i > 0 ? "," : "") + "\n    {\"name\": " + JsonString(c.name) +

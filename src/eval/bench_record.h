@@ -37,7 +37,12 @@ class BenchRecord {
 
   // Prints the metrics as a metric / value / unit table.
   void PrintMetrics() const;
-  // The record: bench, correct, provenance (host_cores, quick), checks as
+  // Where the numbers came from, in perfbench's key names: build_type,
+  // compiler, cxx_flags, host_cores and quick, plus nn_kernels, the
+  // instruction-set variant the batched NN kernels selected.
+  const std::map<std::string, std::string>& provenance() const { return provenance_; }
+
+  // The record: bench, correct, provenance (by key, as strings), checks as
   // {name, ok, detail} and metrics as {name: {value, unit}}. Numbers are
   // written at %.17g, non-finite ones as null.
   std::string ToJson() const;
@@ -62,6 +67,7 @@ class BenchRecord {
   bool args_ok_ = true;
   bool quick_ = false;
   std::map<std::string, std::string> given_;
+  std::map<std::string, std::string> provenance_;
   std::vector<CheckResult> checks_;
   std::vector<MetricValue> metrics_;
 };

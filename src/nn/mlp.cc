@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
+#include "src/nn/kernels.h"
 #include "src/util/logging.h"
 
 namespace astraea {
@@ -12,19 +14,6 @@ namespace {
 constexpr uint32_t kCheckpointMagic = 0x41'53'4D'4C;  // "ASML"
 constexpr uint32_t kCheckpointVersion = 1;
 }  // namespace
-
-// Runtime-dispatched AVX2 variants of the hot batched kernels. The avx2 clone
-// runs the same multiplies and adds in the same order as the baseline — AVX2
-// does not enable FMA, so there is no fused rounding — it only widens how many
-// of the independent tile lanes execute per instruction. Results stay
-// bit-identical across clones and to the per-sample reference path. Disabled
-// under sanitizers (ifunc resolvers run before their runtimes initialize).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-#define ASTRAEA_HOT_CLONES __attribute__((target_clones("default", "avx2")))
-#else
-#define ASTRAEA_HOT_CLONES
-#endif
 
 Mlp::Mlp(std::vector<int> dims, OutputActivation output_activation, Rng* rng)
     : dims_(std::move(dims)), output_activation_(output_activation) {
@@ -170,88 +159,13 @@ void Mlp::ApplyOutputActivation(bool is_last, float* y, size_t n) const {
   }
 }
 
-namespace {
-
-// One register tile of a dense layer: rows [0, kRows) of x (row stride `in`)
-// times outputs [o, o + kCols) of the [in x out] transposed weights `wt`. The
-// accumulators start at the bias, gather the whole i-reduction in ascending-i
-// order without touching y, and are stored once: each output sums exactly the
-// per-sample reference's terms in the reference's order, so results are
-// bit-identical to it, while the unit-stride k-loop vectorizes.
-template <size_t kRows, size_t kCols>
-[[gnu::always_inline]] inline void DenseTile(const float* x, size_t in, const float* wt,
-                                             const float* b, size_t out, size_t o, float* y) {
-  float acc[kRows][kCols];
-  for (size_t r = 0; r < kRows; ++r) {
-    for (size_t k = 0; k < kCols; ++k) {
-      acc[r][k] = b[o + k];
-    }
-  }
-  for (size_t i = 0; i < in; ++i) {
-    const float* wti = wt + i * out + o;
-    float a[kRows];
-    for (size_t r = 0; r < kRows; ++r) {
-      a[r] = x[r * in + i];
-    }
-    // Loop order here changes speed, not results: with k outside r, GCC
-    // vectorizes across k; with r outside, GCC 12 vectorizes the i-loop
-    // instead and the 4-row tile runs ~10x slower.
-    for (size_t k = 0; k < kCols; ++k) {
-      const float w = wti[k];
-      for (size_t r = 0; r < kRows; ++r) {
-        acc[r][k] += a[r] * w;
-      }
-    }
-  }
-  for (size_t r = 0; r < kRows; ++r) {
-    for (size_t k = 0; k < kCols; ++k) {
-      y[r * out + o + k] = acc[r][k];
-    }
-  }
-}
-
-}  // namespace
-
-ASTRAEA_HOT_CLONES
 void Mlp::LayerForwardBatch(const float* fp, const LayerView& layer, bool is_last,
                             const float* x, size_t batch, float* y, float* pre) const {
-  const float* wt = fp + layer.w_offset;
-  const float* b = fp + layer.b_offset;
   const size_t in = static_cast<size_t>(layer.in);
   const size_t out = static_cast<size_t>(layer.out);
-
-  // 4-row x 16-output tiles share each weight load across four rows; the rows
-  // left over (all of them below batch 4, e.g. the per-step inference path)
-  // take one-row tiles 64 outputs wide, enough independent accumulators to
-  // keep the vector adds busy. Narrower output tails fall back to 16-wide and
-  // then single-output tiles.
-  size_t r = 0;
-  for (; r + 4 <= batch; r += 4) {
-    const float* xr = x + r * in;
-    float* yr = y + r * out;
-    size_t o = 0;
-    for (; o + 16 <= out; o += 16) {
-      DenseTile<4, 16>(xr, in, wt, b, out, o, yr);
-    }
-    for (; o < out; ++o) {
-      DenseTile<4, 1>(xr, in, wt, b, out, o, yr);
-    }
-  }
-  for (; r < batch; ++r) {
-    const float* xr = x + r * in;
-    float* yr = y + r * out;
-    size_t o = 0;
-    for (; o + 64 <= out; o += 64) {
-      DenseTile<1, 64>(xr, in, wt, b, out, o, yr);
-    }
-    for (; o + 16 <= out; o += 16) {
-      DenseTile<1, 16>(xr, in, wt, b, out, o, yr);
-    }
-    for (; o < out; ++o) {
-      DenseTile<1, 1>(xr, in, wt, b, out, o, yr);
-    }
-  }
-
+  // y = x W^T + b: the cached transpose is W^T ([in x out]), b the init row.
+  nn::Gemm(x, /*a_row=*/in, /*a_col=*/1, fp + layer.w_offset, fp + layer.b_offset,
+           /*init_ld=*/0, y, batch, in, out);
   if (pre != nullptr) {
     std::copy(y, y + batch * out, pre);
   }
@@ -308,7 +222,6 @@ std::span<const float> Mlp::ForwardBatch(std::span<const float> inputs, size_t b
   return {batch_post_.back().data(), batch * static_cast<size_t>(dims_.back())};
 }
 
-ASTRAEA_HOT_CLONES
 std::span<const float> Mlp::BackwardBatch(std::span<const float> output_grads, size_t batch,
                                           bool need_input_grad) {
   ASTRAEA_CHECK(batch_cached_ == batch && batch > 0);
@@ -341,109 +254,17 @@ std::span<const float> Mlp::BackwardBatch(std::span<const float> output_grads, s
     float* gb = grads_.data() + layer.b_offset;
     const float* w = params_.data() + layer.w_offset;
 
-    // Parameter gradients: G[o] += sum_r delta[r,o] * x[r], computed in
-    // 4-output x 16-input register tiles. The deltas are first transposed to
-    // column-major so the r-reduction reads them unit-stride (a [r,o] walk
-    // strides by `out` and wastes 3/4 of every cache line). Each tile loads
-    // the current gradient values once, adds the per-sample terms in row order
-    // (row 0, row 1, ...), and stores once — the same accumulation sequence as
-    // calling the per-sample Backward() in a loop, so results agree
-    // bit-for-bit.
-    if (dt_scratch_.size() < batch * out) {
-      dt_scratch_.resize(batch * out);
-    }
-    float* dt = dt_scratch_.data();
-    {
-      // 8x8-blocked transpose: both the [r,o] reads and the [o,r] writes use
-      // full cache lines instead of one element per line.
-      constexpr size_t kTB = 8;
-      for (size_t rb = 0; rb < batch; rb += kTB) {
-        const size_t rend = rb + kTB <= batch ? rb + kTB : batch;
-        for (size_t ob = 0; ob < out; ob += kTB) {
-          const size_t oend = ob + kTB <= out ? ob + kTB : out;
-          for (size_t rr = rb; rr < rend; ++rr) {
-            const float* dr = delta + rr * out;
-            for (size_t oo = ob; oo < oend; ++oo) {
-              dt[oo * batch + rr] = dr[oo];
-            }
-          }
-        }
-      }
-    }
-    constexpr size_t kITile = 16;
-    size_t o = 0;
-    for (; o + 4 <= out; o += 4) {
-      float* g0 = gw + (o + 0) * in;
-      float* g1 = gw + (o + 1) * in;
-      float* g2 = gw + (o + 2) * in;
-      float* g3 = gw + (o + 3) * in;
-      const float* dt0 = dt + (o + 0) * batch;
-      const float* dt1 = dt + (o + 1) * batch;
-      const float* dt2 = dt + (o + 2) * batch;
-      const float* dt3 = dt + (o + 3) * batch;
-      size_t i = 0;
-      for (; i + kITile <= in; i += kITile) {
-        float a0[kITile], a1[kITile], a2[kITile], a3[kITile];
-        for (size_t k = 0; k < kITile; ++k) {
-          a0[k] = g0[i + k];
-          a1[k] = g1[i + k];
-          a2[k] = g2[i + k];
-          a3[k] = g3[i + k];
-        }
-        for (size_t r = 0; r < batch; ++r) {
-          const float d0 = dt0[r];
-          const float d1 = dt1[r];
-          const float d2 = dt2[r];
-          const float d3 = dt3[r];
-          const float* xr = layer_input + r * in + i;
-          for (size_t k = 0; k < kITile; ++k) {
-            a0[k] += d0 * xr[k];
-            a1[k] += d1 * xr[k];
-            a2[k] += d2 * xr[k];
-            a3[k] += d3 * xr[k];
-          }
-        }
-        for (size_t k = 0; k < kITile; ++k) {
-          g0[i + k] = a0[k];
-          g1[i + k] = a1[k];
-          g2[i + k] = a2[k];
-          g3[i + k] = a3[k];
-        }
-      }
-      for (size_t r = 0; r < batch; ++r) {
-        const float* dr = delta + r * out + o;
-        const float d0 = dr[0];
-        const float d1 = dr[1];
-        const float d2 = dr[2];
-        const float d3 = dr[3];
-        gb[o + 0] += d0;
-        gb[o + 1] += d1;
-        gb[o + 2] += d2;
-        gb[o + 3] += d3;
-        const float* xr = layer_input + r * in;
-        for (size_t k = i; k < in; ++k) {
-          g0[k] += d0 * xr[k];
-          g1[k] += d1 * xr[k];
-          g2[k] += d2 * xr[k];
-          g3[k] += d3 * xr[k];
-        }
-      }
-    }
-    for (; o < out; ++o) {
-      float* grow = gw + o * in;
-      for (size_t r = 0; r < batch; ++r) {
-        const float d = delta[r * out + o];
-        gb[o] += d;
-        const float* xr = layer_input + r * in;
-        for (size_t i = 0; i < in; ++i) {
-          grow[i] += d * xr[i];
-        }
-      }
-    }
+    // Parameter gradients: G[o] += sum_r delta[r,o] * x[r], adding the
+    // per-sample terms in row order (row 0, row 1, ...) from the current
+    // value — the sequence of calling the per-sample Backward() in a loop,
+    // so results agree bit for bit. The Gemm reads the deltas transposed
+    // ([out x batch]) in place.
+    nn::Gemm(delta, /*a_row=*/1, /*a_col=*/out, layer_input, /*init=*/gw, /*init_ld=*/in, gw,
+             out, batch, in);
+    nn::ColumnSum(delta, batch, out, gb);
 
     // Input gradient for the layer below (or the caller, when l == 0):
-    // prev[r] = sum_o delta[r,o] * W[o], computed in 4-row x 16-input register
-    // tiles over the o-reduction. Per-element terms add from zero in
+    // prev[r] = sum_o delta[r,o] * W[o], each element adding from zero in
     // ascending-o order, matching the reference path exactly. Skipped at the
     // first layer when the caller doesn't want input gradients.
     if (l == 0 && !need_input_grad) {
@@ -453,73 +274,14 @@ std::span<const float> Mlp::BackwardBatch(std::span<const float> output_grads, s
       prev_buf->resize(batch * in);
     }
     float* prev = prev_buf->data();
-    size_t r = 0;
-    for (; r + 4 <= batch; r += 4) {
-      float* p0 = prev + (r + 0) * in;
-      float* p1 = prev + (r + 1) * in;
-      float* p2 = prev + (r + 2) * in;
-      float* p3 = prev + (r + 3) * in;
-      const float* d0 = delta + (r + 0) * out;
-      const float* d1 = delta + (r + 1) * out;
-      const float* d2 = delta + (r + 2) * out;
-      const float* d3 = delta + (r + 3) * out;
-      size_t i = 0;
-      for (; i + kITile <= in; i += kITile) {
-        float a0[kITile] = {}, a1[kITile] = {}, a2[kITile] = {}, a3[kITile] = {};
-        for (size_t oo = 0; oo < out; ++oo) {
-          const float* row = w + oo * in + i;
-          const float c0 = d0[oo];
-          const float c1 = d1[oo];
-          const float c2 = d2[oo];
-          const float c3 = d3[oo];
-          for (size_t k = 0; k < kITile; ++k) {
-            a0[k] += c0 * row[k];
-            a1[k] += c1 * row[k];
-            a2[k] += c2 * row[k];
-            a3[k] += c3 * row[k];
-          }
-        }
-        for (size_t k = 0; k < kITile; ++k) {
-          p0[i + k] = a0[k];
-          p1[i + k] = a1[k];
-          p2[i + k] = a2[k];
-          p3[i + k] = a3[k];
-        }
-      }
-      for (; i < in; ++i) {
-        float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-        for (size_t oo = 0; oo < out; ++oo) {
-          const float wv = w[oo * in + i];
-          a0 += d0[oo] * wv;
-          a1 += d1[oo] * wv;
-          a2 += d2[oo] * wv;
-          a3 += d3[oo] * wv;
-        }
-        p0[i] = a0;
-        p1[i] = a1;
-        p2[i] = a2;
-        p3[i] = a3;
-      }
-    }
-    for (; r < batch; ++r) {
-      float* pr = prev + r * in;
-      const float* dr = delta + r * out;
-      std::fill(pr, pr + in, 0.0f);
-      for (size_t oo = 0; oo < out; ++oo) {
-        const float d = dr[oo];
-        const float* row = w + oo * in;
-        for (size_t i = 0; i < in; ++i) {
-          pr[i] += d * row[i];
-        }
-      }
-    }
+    nn::Gemm(delta, /*a_row=*/out, /*a_col=*/1, w, /*init=*/nullptr, /*init_ld=*/0, prev, batch,
+             out, in);
     if (l > 0) {
-      // Chain through the ReLU of the layer below.
+      // Chain through the ReLU of the layer below. The store is
+      // unconditional so the loop vectorizes.
       const float* z = batch_pre_[l - 1].data();
       for (size_t i = 0; i < batch * in; ++i) {
-        if (z[i] <= 0.0f) {
-          prev[i] = 0.0f;
-        }
+        prev[i] = z[i] <= 0.0f ? 0.0f : prev[i];
       }
     }
     std::swap(delta_buf, prev_buf);
@@ -620,7 +382,12 @@ Mlp Mlp::Load(BinaryReader* reader) {
     throw SerializationError("unsupported MLP checkpoint version");
   }
   Mlp net;
-  net.output_activation_ = static_cast<OutputActivation>(reader->ReadU32());
+  const uint32_t activation = reader->ReadU32();
+  if (activation != static_cast<uint32_t>(OutputActivation::kIdentity) &&
+      activation != static_cast<uint32_t>(OutputActivation::kTanh)) {
+    throw SerializationError("unknown MLP output activation code " + std::to_string(activation));
+  }
+  net.output_activation_ = static_cast<OutputActivation>(activation);
   const uint64_t ndims = reader->ReadU64();
   if (ndims < 3 || ndims > 64) {
     throw SerializationError("implausible MLP dimension count");
@@ -664,6 +431,8 @@ Mlp LoadActorFile(const std::string& path) {
   }
 }
 
+const char* BatchedKernelVariant() { return nn::VariantName(nn::Selected()); }
+
 Adam::Adam(size_t parameter_count, float lr, float beta1, float beta2, float eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps), m_(parameter_count, 0.0f),
       v_(parameter_count, 0.0f) {}
@@ -698,22 +467,14 @@ void Adam::LoadState(BinaryReader* reader) {
   v_ = std::move(v);
 }
 
-ASTRAEA_HOT_CLONES
 void Adam::Step(std::span<float> params, std::span<const float> grads, float scale) {
   ASTRAEA_CHECK(params.size() == m_.size());
   ASTRAEA_CHECK(grads.size() == m_.size());
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  const float inv_scale = 1.0f / scale;
-  for (size_t i = 0; i < params.size(); ++i) {
-    const float g = grads[i] * inv_scale;
-    m_[i] = beta1_ * m_[i] + (1.0f - beta1_) * g;
-    v_[i] = beta2_ * v_[i] + (1.0f - beta2_) * g * g;
-    const float m_hat = m_[i] / bc1;
-    const float v_hat = v_[i] / bc2;
-    params[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-  }
+  nn::AdamUpdate(params.data(), m_.data(), v_.data(), grads.data(), params.size(),
+                 {beta1_, beta2_, lr_, eps_, bc1, bc2, 1.0f / scale});
 }
 
 }  // namespace astraea

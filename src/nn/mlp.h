@@ -155,9 +155,6 @@ class Mlp {
   // InferBatchSpan stay const (they still make the instance single-thread only).
   mutable std::vector<float> infer_scratch_a_;
   mutable std::vector<float> infer_scratch_b_;
-  // Column-major copy of the current deltas ([out x batch]), rebuilt per layer
-  // in BackwardBatch so the parameter-gradient tiles read them unit-stride.
-  std::vector<float> dt_scratch_;
 };
 
 // Reads an actor file: one Save() stream, as Td3Trainer::SaveActor writes it
@@ -166,6 +163,10 @@ class Mlp {
 // reload call it). Throws SerializationError naming `path` when the file is
 // missing or is not such a stream.
 Mlp LoadActorFile(const std::string& path);
+
+// The instruction-set variant the batched kernels selected on this CPU:
+// "avx512f", "avx2" or "baseline" (DESIGN.md §6.1).
+const char* BatchedKernelVariant();
 
 // Adam optimizer over a flat parameter vector.
 class Adam {

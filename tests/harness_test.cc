@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
 #include "src/eval/window_metrics.h"
+#include "src/nn/mlp.h"
 #include "src/util/stats.h"
 
 namespace astraea {
@@ -203,12 +205,23 @@ TEST(BenchRecordTest, WritesPerfbenchKeysWithEveryDigit) {
   record.Metric("latency", std::nan(""), "us");
   record.Check("passes", true, "fine");
   record.Check("fails", false, "said \"no\" at C:\\tmp");
+  const std::map<std::string, std::string>& provenance = record.provenance();
+  ASSERT_EQ(provenance.size(), 6u);
+  EXPECT_EQ(provenance.at("host_cores"), std::to_string(std::thread::hardware_concurrency()));
+  EXPECT_EQ(provenance.at("nn_kernels"), BatchedKernelVariant());
+  EXPECT_EQ(provenance.at("quick"), "false");
+  EXPECT_FALSE(provenance.at("build_type").empty());
+  EXPECT_FALSE(provenance.at("compiler").empty());
+  EXPECT_EQ(provenance.count("cxx_flags"), 1u);
   EXPECT_EQ(record.ToJson(),
             "{\n"
             "  \"bench\": \"demo\",\n"
             "  \"correct\": false,\n"
-            "  \"provenance\": {\"host_cores\": \"" +
-                std::to_string(std::thread::hardware_concurrency()) +
+            "  \"provenance\": {\"build_type\": \"" +
+                provenance.at("build_type") + "\", \"compiler\": \"" +
+                provenance.at("compiler") + "\", \"cxx_flags\": \"" + provenance.at("cxx_flags") +
+                "\", \"host_cores\": \"" + provenance.at("host_cores") +
+                "\", \"nn_kernels\": \"" + provenance.at("nn_kernels") +
                 "\", \"quick\": \"false\"},\n"
                 "  \"checks\": [\n"
                 "    {\"name\": \"passes\", \"ok\": true, \"detail\": \"fine\"},\n"

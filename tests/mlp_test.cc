@@ -3,10 +3,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <sstream>
+#include <string>
 
+#include "src/nn/kernels.h"
 #include "src/nn/mlp.h"
 
 namespace astraea {
@@ -99,33 +102,83 @@ TEST(MlpTest, InferBatchMatchesPerSample) {
   }
 }
 
-// At the paper's widths every tile shape of the forward kernel runs: 4-row x
-// 16-output tiles, one-row 64-output tiles for the leftover rows, and the
-// single-output tiles of the scalar head. Each must reproduce the per-sample
-// reference bit for bit.
-TEST(MlpTest, InferBatchMatchesForwardBitwiseAtPaperWidths) {
+// Every batched-kernel variant this CPU runs (DESIGN.md §6.1), against the
+// per-sample reference bit for bit: InferBatchSpan and ForwardBatch outputs,
+// input gradients, and parameter gradients accumulated onto nonzero ones. The
+// widths are the paper's actor and critic and one set that leaves a tail in
+// every tile shape; the batches leave every row remainder of the multi-row
+// tiles.
+class MlpVariantTest : public ::testing::TestWithParam<nn::Variant> {};
+
+TEST_P(MlpVariantTest, BatchedMatchesPerSampleBitwise) {
+  const nn::Variant variant = GetParam();
+  if (!nn::Supported(variant)) {
+    GTEST_SKIP() << "this CPU lacks " << nn::VariantName(variant);
+  }
+  const nn::ScopedVariant use(variant);
   std::vector<size_t> batches;
   for (size_t b = 1; b <= 17; ++b) {
     batches.push_back(b);
   }
-  batches.push_back(64);
-  batches.push_back(192);
+  for (const size_t b : {31, 32, 33, 64, 191, 192, 193}) {
+    batches.push_back(b);
+  }
+  const std::vector<int> tail_dims = {37, 120, 45, 3};
   for (const auto& [dims, activation] :
        {std::pair{kActorDims, OutputActivation::kTanh},
-        std::pair{kCriticDims, OutputActivation::kIdentity}}) {
+        std::pair{kCriticDims, OutputActivation::kIdentity},
+        std::pair{tail_dims, OutputActivation::kTanh}}) {
     Rng rng(41);
     Mlp net(dims, activation, &rng);
     RandomizeParams(&net, 43);
     const size_t in = static_cast<size_t>(dims.front());
+    const size_t out = static_cast<size_t>(dims.back());
     for (const size_t batch : batches) {
+      SCOPED_TRACE("in " + std::to_string(in) + " batch " + std::to_string(batch));
       const std::vector<float> inputs = RandomInputs(batch * in, 42 + batch);
-      const std::vector<float> batched = Copy(net.InferBatchSpan(inputs, batch));
+      const std::vector<float> out_grads = RandomInputs(batch * out, 7 + batch);
+      const std::vector<float> start_grads = RandomInputs(net.parameter_count(), 9 + batch);
+      Mlp reference(net);
+      std::copy(start_grads.begin(), start_grads.end(), reference.grads().begin());
+      std::vector<float> reference_y;
+      std::vector<float> reference_dx;
       for (size_t r = 0; r < batch; ++r) {
-        const auto single = net.Forward(std::span<const float>(inputs).subspan(r * in, in));
-        EXPECT_TRUE(SameBits(std::span<const float>(batched).subspan(r, 1), single))
-            << "in " << in << " batch " << batch << " row " << r;
+        const auto y = reference.Forward(std::span<const float>(inputs).subspan(r * in, in));
+        const auto dx = reference.Backward(std::span<const float>(out_grads).subspan(r * out, out));
+        reference_y.insert(reference_y.end(), y.begin(), y.end());
+        reference_dx.insert(reference_dx.end(), dx.begin(), dx.end());
       }
+
+      EXPECT_TRUE(SameBits(net.InferBatchSpan(inputs, batch), reference_y));
+      std::copy(start_grads.begin(), start_grads.end(), net.grads().begin());
+      EXPECT_TRUE(SameBits(net.ForwardBatch(inputs, batch), reference_y));
+      EXPECT_TRUE(SameBits(net.BackwardBatch(out_grads, batch), reference_dx));
+      EXPECT_TRUE(SameBits(net.grads(), reference.grads()));
     }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, MlpVariantTest,
+                         ::testing::Values(nn::Variant::kBaseline, nn::Variant::kAvx2,
+                                           nn::Variant::kAvx512f),
+                         [](const ::testing::TestParamInfo<nn::Variant>& param) {
+                           return std::string(nn::VariantName(param.param));
+                         });
+
+// The selection rule: the widest variant the CPU runs, whose rows outside the
+// multi-row tiles — every row of a batch below four — take the AVX2 one-row
+// tiles, so per-decision inference executes no 512-bit instruction.
+TEST(MlpTest, SelectsTheWidestVariantWithAvx2OneRowTiles) {
+  const nn::Variant selected = nn::Selected();
+  std::printf("batched kernels selected: %s\n", nn::VariantName(selected));
+  RecordProperty("nn_kernels", nn::VariantName(selected));
+  EXPECT_STREQ(BatchedKernelVariant(), nn::VariantName(selected));
+  EXPECT_TRUE(nn::Supported(selected));
+  EXPECT_EQ(selected == nn::Variant::kAvx512f, nn::Supported(nn::Variant::kAvx512f));
+  EXPECT_EQ(selected == nn::Variant::kBaseline, !nn::Supported(nn::Variant::kAvx2));
+  if (nn::Supported(nn::Variant::kAvx512f)) {
+    EXPECT_EQ(nn::KernelsOf(nn::Variant::kAvx512f).gemm_rows,
+              nn::KernelsOf(nn::Variant::kAvx2).gemm_rows);
   }
 }
 
@@ -401,6 +454,26 @@ TEST(MlpTest, LoadRejectsCorruptMagic) {
   BinaryReader r(path);
   EXPECT_THROW(Mlp::Load(&r), SerializationError);
   std::filesystem::remove(path);
+}
+
+// An output-activation code other than identity (0) or tanh (1) is a corrupt
+// file, not an activation to guess at.
+TEST(MlpTest, LoadRejectsUnknownOutputActivation) {
+  Rng rng(10);
+  const Mlp net({4, 8, 1}, OutputActivation::kTanh, &rng);
+  std::stringstream saved;
+  BinaryWriter writer(&saved);
+  net.Save(&writer);
+  std::string bytes = saved.str();
+  bytes[8] = 7;  // the code follows the 4-byte magic and the 4-byte version
+  std::stringstream corrupt(bytes);
+  BinaryReader reader(&corrupt);
+  try {
+    Mlp::Load(&reader);
+    FAIL() << "loaded an MLP with output activation code 7";
+  } catch (const SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find("activation code 7"), std::string::npos) << e.what();
+  }
 }
 
 TEST(AdamTest, StepsTowardMinimum) {
