@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace astraea {
+namespace {
 
-double PretrainedAuroraPolicy::Act(std::span<const float> state) const {
-  // Latest feature triple is at the end of the stacked history.
+// Multiplicative rate step per unit action (Aurora's delta).
+constexpr double kRateStep = 0.025;
+
+// Deterministic surrogate for the published pretrained model. `state` is the
+// stacked history; the latest feature triple is at its end.
+double PretrainedAuroraAction(std::span<const float> state) {
   const float latency_gradient = state[state.size() - 3];
   const float send_ratio = state[state.size() - 1];
 
@@ -33,14 +39,7 @@ double PretrainedAuroraPolicy::Act(std::span<const float> state) const {
   return 1.0;  // grab
 }
 
-double MlpAuroraPolicy::Act(std::span<const float> state) const {
-  return std::clamp(static_cast<double>(actor_.Infer(state)[0]), -1.0, 1.0);
-}
-
-Aurora::Aurora(std::shared_ptr<const AuroraPolicy> policy, double delta)
-    : policy_(policy != nullptr ? std::move(policy)
-                                : std::make_shared<PretrainedAuroraPolicy>()),
-      delta_(delta) {}
+}  // namespace
 
 void Aurora::OnFlowStart(TimeNs /*now*/, uint32_t mss) {
   mss_ = mss;
@@ -95,11 +94,11 @@ void Aurora::OnMtpTick(const MtpReport& report) {
   srtt_hint_ = std::max<TimeNs>(report.srtt, Milliseconds(1));
   PushFeatures(report);
   const std::vector<float> state = CurrentState();
-  const double a = std::clamp(policy_->Act(state), -1.0, 1.0);
+  const double a = PretrainedAuroraAction(state);
   if (a >= 0.0) {
-    rate_ *= 1.0 + delta_ * a;
+    rate_ *= 1.0 + kRateStep * a;
   } else {
-    rate_ /= 1.0 - delta_ * a;
+    rate_ /= 1.0 - kRateStep * a;
   }
   rate_ = std::clamp(rate_, Kbps(100.0), Gbps(20.0));
 }

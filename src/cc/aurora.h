@@ -9,58 +9,29 @@
 // which is throughput-dominated and fairness-agnostic — the behaviour the
 // paper's Fig. 1a demonstrates (an Aurora incumbent never yields bandwidth).
 //
-// The policy is pluggable: `MlpAuroraPolicy` runs a checkpoint produced by
-// tools/aurora_train; `PretrainedAuroraPolicy` is a deterministic stand-in
-// that encodes the published qualitative behaviour of the trained model
-// (monotone rate growth, indifference to moderate loss and queueing) so the
-// motivation and comparison benches are reproducible without a training run.
-// See DESIGN.md's substitution table.
+// The policy is a deterministic stand-in for the published pretrained model
+// (aurora.cc): it encodes the trained model's qualitative behaviour (monotone
+// rate growth, indifference to moderate loss and queueing) so the motivation
+// and comparison benches are reproducible without a training run. See
+// DESIGN.md's substitution table.
 
 #ifndef SRC_CC_AURORA_H_
 #define SRC_CC_AURORA_H_
 
 #include <array>
 #include <deque>
-#include <memory>
-#include <span>
 #include <vector>
 
-#include "src/nn/mlp.h"
 #include "src/sim/congestion_controller.h"
 
 namespace astraea {
-
-class AuroraPolicy {
- public:
-  virtual ~AuroraPolicy() = default;
-  // `state` is the stacked history (kAuroraHistory x kAuroraFeatures).
-  virtual double Act(std::span<const float> state) const = 0;
-};
 
 inline constexpr int kAuroraFeatures = 3;  // latency gradient, latency ratio, send ratio
 inline constexpr int kAuroraHistory = 10;
 inline constexpr int kAuroraStateDim = kAuroraFeatures * kAuroraHistory;
 
-// Deterministic surrogate for the published pretrained model.
-class PretrainedAuroraPolicy : public AuroraPolicy {
- public:
-  double Act(std::span<const float> state) const override;
-};
-
-class MlpAuroraPolicy : public AuroraPolicy {
- public:
-  explicit MlpAuroraPolicy(Mlp actor) : actor_(std::move(actor)) {}
-  double Act(std::span<const float> state) const override;
-
- private:
-  Mlp actor_;
-};
-
 class Aurora : public CongestionController {
  public:
-  // Uses the pretrained surrogate when `policy` is null.
-  explicit Aurora(std::shared_ptr<const AuroraPolicy> policy = nullptr, double delta = 0.025);
-
   void OnFlowStart(TimeNs now, uint32_t mss) override;
   void OnMtpTick(const MtpReport& report) override;
   void OnLoss(const LossEvent& ev) override;
@@ -70,13 +41,13 @@ class Aurora : public CongestionController {
   std::string name() const override { return "aurora"; }
 
   double rate_bps() const { return rate_; }
-  std::vector<float> CurrentState() const;  // exposed for tests/training
+  // The stacked history (kAuroraHistory x kAuroraFeatures) the policy reads;
+  // exposed for tests.
+  std::vector<float> CurrentState() const;
 
  private:
   void PushFeatures(const MtpReport& report);
 
-  std::shared_ptr<const AuroraPolicy> policy_;
-  double delta_;
   uint32_t mss_ = 1500;
   double rate_ = 0.0;
   TimeNs srtt_hint_ = Milliseconds(40);

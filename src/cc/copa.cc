@@ -36,9 +36,6 @@ void Copa::UpdateVelocity(bool direction_up, TimeNs now, TimeNs srtt) {
 }
 
 void Copa::UpdateMode(TimeNs now, TimeNs /*srtt*/, TimeNs standing, TimeNs min_rtt) {
-  if (!enable_mode_switching_) {
-    return;
-  }
   // "Nearly empty" means the standing queue is below 10% of min RTT.
   if (standing - min_rtt < min_rtt / 10) {
     last_near_empty_queue_ = now;
@@ -49,7 +46,7 @@ void Copa::UpdateMode(TimeNs now, TimeNs /*srtt*/, TimeNs standing, TimeNs min_r
     competitive_ = true;
   } else if (!competitor_detected && competitive_) {
     competitive_ = false;
-    delta_ = default_delta_;
+    delta_ = kDefaultDelta;
   }
   if (competitive_) {
     // Loss/competition mode: behave like AIMD by shrinking delta (more

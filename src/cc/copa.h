@@ -1,9 +1,10 @@
 // Copa (Arun & Balakrishnan, NSDI 2018): delay-based control toward the
 // target rate lambda* = 1 / (delta * d_q), where d_q is the standing queuing
 // delay. Velocity doubling accelerates convergence; direction flips reset it.
-// This implementation runs Copa's default mode (the paper notes the erroneous
-// competitive-mode switches as Copa's instability source; we expose the mode
-// switch as an option to reproduce that oscillation).
+// Copa leaves its default mode (delta = 0.5) for a competitive mode when the
+// standing queue stops draining. The paper names these erroneous mode switches
+// as Copa's instability source, so the switch is always on, to reproduce that
+// oscillation.
 
 #ifndef SRC_CC_COPA_H_
 #define SRC_CC_COPA_H_
@@ -15,9 +16,6 @@ namespace astraea {
 
 class Copa : public CongestionController {
  public:
-  explicit Copa(double delta = 0.5, bool enable_mode_switching = true)
-      : default_delta_(delta), delta_(delta), enable_mode_switching_(enable_mode_switching) {}
-
   void OnFlowStart(TimeNs now, uint32_t mss) override;
   void OnAck(const AckEvent& ev) override;
   void OnLoss(const LossEvent& ev) override;
@@ -33,9 +31,9 @@ class Copa : public CongestionController {
   void UpdateVelocity(bool direction_up, TimeNs now, TimeNs srtt);
   void UpdateMode(TimeNs now, TimeNs srtt, TimeNs standing, TimeNs min_rtt);
 
-  double default_delta_;
-  double delta_;
-  bool enable_mode_switching_;
+  static constexpr double kDefaultDelta = 0.5;
+
+  double delta_ = kDefaultDelta;
   uint32_t mss_ = 1500;
   double cwnd_pkts_ = 10.0;
   TimeNs srtt_hint_ = Milliseconds(40);

@@ -14,7 +14,7 @@ void Cubic::OnFlowStart(TimeNs /*now*/, uint32_t mss) {
 
 double Cubic::CubicWindow(double t_sec) const {
   const double dt = t_sec - k_;
-  return c_ * dt * dt * dt + w_max_;
+  return kC * dt * dt * dt + w_max_;
 }
 
 void Cubic::OnAck(const AckEvent& ev) {
@@ -32,7 +32,7 @@ void Cubic::OnAck(const AckEvent& ev) {
     epoch_start_ = ev.now;
     const double cwnd_pkts = static_cast<double>(cwnd_) / mss_;
     if (cwnd_pkts < w_max_) {
-      k_ = std::cbrt((w_max_ - cwnd_pkts) / c_);
+      k_ = std::cbrt((w_max_ - cwnd_pkts) / kC);
     } else {
       k_ = 0.0;
       w_max_ = cwnd_pkts;
@@ -45,7 +45,7 @@ void Cubic::OnAck(const AckEvent& ev) {
   const double target = CubicWindow(t + rtt_sec);
 
   // TCP-friendly region (RFC 8312 §4.2): track what Reno would achieve.
-  w_est_ += 3.0 * (1.0 - beta_) / (1.0 + beta_) * static_cast<double>(ev.acked_bytes) /
+  w_est_ += 3.0 * (1.0 - kBeta) / (1.0 + kBeta) * static_cast<double>(ev.acked_bytes) /
             static_cast<double>(cwnd_);
 
   const double cwnd_pkts = static_cast<double>(cwnd_) / mss_;
@@ -74,7 +74,7 @@ void Cubic::SetCwndBytes(uint64_t cwnd_bytes) {
 void Cubic::OnLoss(const LossEvent& ev) {
   if (ev.is_timeout) {
     w_max_ = static_cast<double>(cwnd_) / mss_;
-    ssthresh_ = std::max<uint64_t>(static_cast<uint64_t>(cwnd_ * beta_), 2ULL * mss_);
+    ssthresh_ = std::max<uint64_t>(static_cast<uint64_t>(cwnd_ * kBeta), 2ULL * mss_);
     cwnd_ = 2ULL * mss_;
     epoch_start_ = -1;
     recovery_until_ = 0;
@@ -86,11 +86,11 @@ void Cubic::OnLoss(const LossEvent& ev) {
   const double cwnd_pkts = static_cast<double>(cwnd_) / mss_;
   // Fast convergence (RFC 8312 §4.6).
   if (cwnd_pkts < w_max_) {
-    w_max_ = cwnd_pkts * (1.0 + beta_) / 2.0;
+    w_max_ = cwnd_pkts * (1.0 + kBeta) / 2.0;
   } else {
     w_max_ = cwnd_pkts;
   }
-  cwnd_ = std::max<uint64_t>(static_cast<uint64_t>(cwnd_ * beta_), 2ULL * mss_);
+  cwnd_ = std::max<uint64_t>(static_cast<uint64_t>(cwnd_ * kBeta), 2ULL * mss_);
   ssthresh_ = cwnd_;
   epoch_start_ = -1;
   recovery_until_ = ev.now + srtt_;

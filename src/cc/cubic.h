@@ -10,9 +10,6 @@ namespace astraea {
 
 class Cubic : public CongestionController {
  public:
-  // RFC 8312 defaults: C = 0.4, beta_cubic = 0.7.
-  explicit Cubic(double c = 0.4, double beta = 0.7) : c_(c), beta_(beta) {}
-
   void OnFlowStart(TimeNs now, uint32_t mss) override;
   void OnAck(const AckEvent& ev) override;
   void OnLoss(const LossEvent& ev) override;
@@ -30,8 +27,10 @@ class Cubic : public CongestionController {
  private:
   double CubicWindow(double t_sec) const;  // in packets
 
-  double c_;
-  double beta_;
+  // RFC 8312: C = 0.4, beta_cubic = 0.7.
+  static constexpr double kC = 0.4;
+  static constexpr double kBeta = 0.7;
+
   uint32_t mss_ = 1500;
   uint64_t cwnd_ = 0;
   uint64_t ssthresh_ = UINT64_MAX;

@@ -1,37 +1,46 @@
 #include "src/cc/remy.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace astraea {
+namespace {
 
-Remy::Remy(std::vector<RemyRule> rules)
-    : rules_(rules.empty() ? DefaultRules() : std::move(rules)) {}
+// One Remy rule: matched on the observed RTT ratio, applying (window
+// multiple, window increment, pacing multiplier).
+struct RemyRule {
+  double rtt_ratio_lo;
+  double rtt_ratio_hi;
+  double window_multiple;
+  double window_increment_pkts;  // applied once per RTT
+  double intersend_multiplier;   // >1 slows sending below the ACK rate
+};
 
-std::vector<RemyRule> Remy::DefaultRules() {
-  // Five operating regions keyed on rtt/min_rtt, from "queue empty" to
-  // "deep bufferbloat". Optimized (by hand, mimicking a Remy search outcome)
-  // for 10-200 Mbps / 10-150 ms paths.
-  return {
-      {0.00, 1.05, 1.00, 2.0, 1.00},  // empty queue: grow fast
-      {1.05, 1.30, 1.00, 1.0, 1.00},  // light queueing: grow gently
-      {1.30, 1.70, 1.00, 0.0, 1.05},  // target band: hold, slight pace-down
-      {1.70, 2.50, 0.96, 0.0, 1.10},  // heavy queueing: shrink
-      {2.50, 1e9, 0.85, 0.0, 1.20},   // bufferbloat: shrink hard
-  };
-}
+// Five operating regions keyed on rtt/min_rtt, from "queue empty" to
+// "deep bufferbloat". Optimized (by hand, mimicking a Remy search outcome)
+// for 10-200 Mbps / 10-150 ms paths.
+constexpr RemyRule kRules[] = {
+    {0.00, 1.05, 1.00, 2.0, 1.00},  // empty queue: grow fast
+    {1.05, 1.30, 1.00, 1.0, 1.00},  // light queueing: grow gently
+    {1.30, 1.70, 1.00, 0.0, 1.05},  // target band: hold, slight pace-down
+    {1.70, 2.50, 0.96, 0.0, 1.10},  // heavy queueing: shrink
+    {2.50, 1e9, 0.85, 0.0, 1.20},   // bufferbloat: shrink hard
+};
 
-void Remy::OnFlowStart(TimeNs /*now*/, uint32_t mss) {
-  mss_ = mss;
-  cwnd_pkts_ = 10.0;
-}
-
-const RemyRule& Remy::MatchRule(double rtt_ratio) const {
-  for (const RemyRule& rule : rules_) {
+const RemyRule& MatchRule(double rtt_ratio) {
+  for (const RemyRule& rule : kRules) {
     if (rtt_ratio >= rule.rtt_ratio_lo && rtt_ratio < rule.rtt_ratio_hi) {
       return rule;
     }
   }
-  return rules_.back();
+  return kRules[std::size(kRules) - 1];
+}
+
+}  // namespace
+
+void Remy::OnFlowStart(TimeNs /*now*/, uint32_t mss) {
+  mss_ = mss;
+  cwnd_pkts_ = 10.0;
 }
 
 void Remy::OnAck(const AckEvent& ev) {

@@ -1,34 +1,19 @@
 // RemyCC (Winstein & Balakrishnan, SIGCOMM 2013): an offline-optimized
 // rule-table controller. A real Remy run searches for the table maximizing a
 // utility over a modelled network range; here we ship a compact hand-derived
-// table optimized for the paper's emulation range (tens of Mbps, tens of ms),
-// which reproduces Remy's published trait of performing well inside its
-// design range and conservatively outside it (paper Fig. 15).
+// table (remy.cc) optimized for the paper's emulation range (tens of Mbps,
+// tens of ms), which reproduces Remy's published trait of performing well
+// inside its design range and conservatively outside it (paper Fig. 15).
 
 #ifndef SRC_CC_REMY_H_
 #define SRC_CC_REMY_H_
-
-#include <vector>
 
 #include "src/sim/congestion_controller.h"
 
 namespace astraea {
 
-// One Remy rule: matched on the observed RTT ratio and EWMA inter-ACK trend,
-// applying (window multiple, window increment, pacing multiplier).
-struct RemyRule {
-  double rtt_ratio_lo = 0.0;
-  double rtt_ratio_hi = 1e9;
-  double window_multiple = 1.0;
-  double window_increment_pkts = 0.0;  // applied once per RTT
-  double intersend_multiplier = 1.0;   // >1 slows sending below the ACK rate
-};
-
 class Remy : public CongestionController {
  public:
-  // Uses the built-in design-range table when `rules` is empty.
-  explicit Remy(std::vector<RemyRule> rules = {});
-
   void OnFlowStart(TimeNs now, uint32_t mss) override;
   void OnAck(const AckEvent& ev) override;
   void OnLoss(const LossEvent& ev) override;
@@ -37,12 +22,7 @@ class Remy : public CongestionController {
   std::optional<double> pacing_bps() const override;
   std::string name() const override { return "remy"; }
 
-  static std::vector<RemyRule> DefaultRules();
-
  private:
-  const RemyRule& MatchRule(double rtt_ratio) const;
-
-  std::vector<RemyRule> rules_;
   uint32_t mss_ = 1500;
   double cwnd_pkts_ = 10.0;
   TimeNs last_window_action_ = 0;

@@ -44,9 +44,9 @@ void Vegas::OnAck(const AckEvent& ev) {
     }
     return;
   }
-  if (diff < alpha_) {
+  if (diff < kAlpha) {
     cwnd_ += mss_;
-  } else if (diff > beta_) {
+  } else if (diff > kBeta) {
     cwnd_ = std::max<uint64_t>(cwnd_ - mss_, 2ULL * mss_);
   }
 }

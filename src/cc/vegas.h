@@ -10,8 +10,6 @@ namespace astraea {
 
 class Vegas : public CongestionController {
  public:
-  explicit Vegas(double alpha = 2.0, double beta = 4.0) : alpha_(alpha), beta_(beta) {}
-
   void OnFlowStart(TimeNs now, uint32_t mss) override;
   void OnAck(const AckEvent& ev) override;
   void OnLoss(const LossEvent& ev) override;
@@ -23,8 +21,9 @@ class Vegas : public CongestionController {
   double QueueEstimate(TimeNs rtt, TimeNs base_rtt) const;
 
  private:
-  double alpha_;
-  double beta_;
+  static constexpr double kAlpha = 2.0;  // packets queued: grow below this
+  static constexpr double kBeta = 4.0;   // packets queued: shrink above this
+
   uint32_t mss_ = 1500;
   uint64_t cwnd_ = 0;
   uint64_t ssthresh_ = UINT64_MAX;

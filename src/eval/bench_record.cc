@@ -7,6 +7,7 @@
 
 #include "src/eval/table.h"
 #include "src/nn/mlp.h"
+#include "src/util/cli_flags.h"
 
 namespace astraea {
 namespace {
@@ -133,11 +134,7 @@ int BenchRecord::Finish() const {
     table.Print();
   }
   const std::string path = Value("--out", "BENCH_" + bench_ + ".json");
-  const std::string json = ToJson();
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  const bool written = out != nullptr && std::fputs(json.c_str(), out) >= 0;
-  if (out == nullptr || std::fclose(out) != 0 || !written) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  if (!cli::WriteOutputFile(path, ToJson())) {
     return 1;
   }
   std::printf("wrote %s\n", path.c_str());

@@ -41,7 +41,8 @@ class ReplaySource {
 };
 
 // One fixed-capacity ring that overwrites its oldest entry once full: a
-// ShardedReplayBuffer shard, or the Aurora trainer's whole buffer.
+// ShardedReplayBuffer shard, or the whole buffer of a single-learner test or
+// bench.
 class ReplayBuffer : public ReplaySource {
  public:
   explicit ReplayBuffer(size_t capacity) : capacity_(capacity) {

@@ -75,19 +75,6 @@ std::vector<float> Td3Trainer::CriticInput(const std::vector<float>& g,
   return in;
 }
 
-std::vector<float> Td3Trainer::Act(std::span<const float> local_state) const {
-  return actor_->Infer(local_state);
-}
-
-std::vector<float> Td3Trainer::ActWithNoise(std::span<const float> local_state, float noise_std,
-                                            Rng* rng) const {
-  std::vector<float> action = Act(local_state);
-  for (float& a : action) {
-    a = std::clamp(a + static_cast<float>(rng->Normal(0.0, noise_std)), -1.0f, 1.0f);
-  }
-  return action;
-}
-
 Td3Diagnostics Td3Trainer::Update(const ReplaySource& buffer, Rng* rng) {
   Td3Diagnostics diag;
   if (buffer.size() < config_.batch_size) {

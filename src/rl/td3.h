@@ -63,13 +63,6 @@ class Td3Trainer {
   // testing the batched path (and as executable documentation of Algorithm 1).
   Td3Diagnostics UpdateReference(const ReplaySource& buffer, Rng* rng);
 
-  // Deterministic action from the current policy (deployment path).
-  std::vector<float> Act(std::span<const float> local_state) const;
-
-  // Exploratory action: policy output + clipped Gaussian noise.
-  std::vector<float> ActWithNoise(std::span<const float> local_state, float noise_std,
-                                  Rng* rng) const;
-
   const Mlp& actor() const { return *actor_; }
   Mlp& mutable_actor() { return *actor_; }
   const Mlp& critic1() const { return *critic1_; }

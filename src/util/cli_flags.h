@@ -1,4 +1,5 @@
-// Strict numeric parsing for tool command lines.
+// Strict numeric parsing for tool command lines, and the one checked write of
+// a tool's output file.
 //
 // The tools historically used bare atoi/atof, which silently turn
 // "--episodes banana" into 0 and accept out-of-range values. These helpers
@@ -200,6 +201,20 @@ inline TimeNs ParsePositiveDuration(const char* flag, const char* value, TimeNs 
     FlagError(flag, value, why.c_str());
   }
   return out;
+}
+
+// Writes `text` to `path`, replacing the file. A file that cannot be opened,
+// written or closed (a missing directory, a full disk) is named on stderr as
+// "cannot write <path>" and false is returned, so the tool exits 1 rather than
+// lose its report without a word.
+inline bool WriteOutputFile(const std::string& path, const std::string& text) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  const bool written = out != nullptr && std::fputs(text.c_str(), out) >= 0;
+  if (out == nullptr || std::fclose(out) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace cli

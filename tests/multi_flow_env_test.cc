@@ -76,6 +76,41 @@ TEST(MultiFlowEnvTest, CollectsTransitionsWithCorrectShapes) {
   EXPECT_LE(t.reward, 0.1f);
 }
 
+// Exploration noise is added to the actor's proposal and clamped before the
+// action is staged for replay: at noise std 5.0 most draws land outside
+// [-1, 1], so every staged action must still be in range and some must sit
+// on its ends.
+TEST(MultiFlowEnvTest, NoisyActionsStayInRange) {
+  AstraeaHyperparameters hp;
+  Rng rng(7);
+  Td3Trainer trainer(EnvTd3Config(hp), &rng);
+  std::vector<Transition> buffer;
+
+  EnvEpisodeConfig config;
+  config.bandwidth = Mbps(60);
+  config.base_rtt = Milliseconds(30);
+  config.buffer_bdp = 1.0;
+  config.episode_length = Seconds(5.0);
+  config.seed = 8;
+  config.flows.push_back({0, -1, 0});
+
+  MultiFlowEnv env(config, hp, std::make_shared<SnapshotActorPolicy>(&trainer.actor()), &buffer,
+                   5.0, &rng);
+  while (env.AdvanceOneInterval()) {
+  }
+  env.Finish();
+
+  ASSERT_GT(buffer.size(), 50u);
+  int at_ends = 0;
+  for (const Transition& t : buffer) {
+    ASSERT_EQ(t.action.size(), 1u);
+    EXPECT_GE(t.action[0], -1.0f);
+    EXPECT_LE(t.action[0], 1.0f);
+    at_ends += (t.action[0] == -1.0f || t.action[0] == 1.0f) ? 1 : 0;
+  }
+  EXPECT_GT(at_ends, 0);
+}
+
 TEST(MultiFlowEnvTest, RewardReflectsLinkUtilization) {
   // A healthy multi-flow episode should produce positive mean reward and a
   // high mean throughput term once flows ramp up.

@@ -70,22 +70,11 @@ TEST(Td3Test, ActIsDeterministicAndBounded) {
   Rng rng(1);
   Td3Trainer trainer(SmallConfig(), &rng);
   const std::vector<float> s = {0.1f, 0.2f, 0.3f};
-  const auto a1 = trainer.Act(s);
-  const auto a2 = trainer.Act(s);
+  const auto a1 = trainer.actor().Infer(s);
+  const auto a2 = trainer.actor().Infer(s);
   EXPECT_EQ(a1, a2);
   EXPECT_GE(a1[0], -1.0f);
   EXPECT_LE(a1[0], 1.0f);
-}
-
-TEST(Td3Test, NoiseStaysClipped) {
-  Rng rng(2);
-  Td3Trainer trainer(SmallConfig(), &rng);
-  const std::vector<float> s = {0.0f, 0.0f, 0.0f};
-  for (int i = 0; i < 200; ++i) {
-    const auto a = trainer.ActWithNoise(s, 0.5f, &rng);
-    EXPECT_GE(a[0], -1.0f);
-    EXPECT_LE(a[0], 1.0f);
-  }
 }
 
 TEST(Td3Test, UpdateIsNoOpWhenBufferSmall) {
@@ -123,7 +112,7 @@ TEST(Td3Test, SolvesContinuousBandit) {
   for (int i = 0; i < 1500; ++i) {
     trainer.Update(buf, &rng);
   }
-  const float a_star = trainer.Act(s)[0];
+  const float a_star = trainer.actor().Infer(s)[0];
   EXPECT_NEAR(a_star, 0.5f, 0.15f);
 }
 
@@ -223,7 +212,7 @@ TEST(Td3Test, SaveLoadActorRoundTrip) {
   EXPECT_EQ(loaded.dims(), trainer.actor().dims());
   EXPECT_TRUE(std::equal(loaded.params().begin(), loaded.params().end(),
                          trainer.actor().params().begin(), trainer.actor().params().end()));
-  EXPECT_EQ(loaded.Infer(s)[0], trainer.Act(s)[0]);
+  EXPECT_EQ(loaded.Infer(s)[0], trainer.actor().Infer(s)[0]);
 }
 
 }  // namespace

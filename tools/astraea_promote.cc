@@ -22,6 +22,7 @@
 #include <string>
 
 #include "src/train/promotion.h"
+#include "src/util/cli_flags.h"
 
 #ifndef ASTRAEA_SOURCE_DIR
 #define ASTRAEA_SOURCE_DIR "."
@@ -88,15 +89,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string json = report.ToJson();
-  if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out, "%s\n", json.c_str());
-    std::fclose(out);
+  if (!json_path.empty() && !cli::WriteOutputFile(json_path, report.ToJson() + "\n")) {
+    return 1;
   }
 
   for (const GateScenarioResult& r : report.scenarios) {

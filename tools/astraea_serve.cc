@@ -111,14 +111,9 @@ int RunServer(const serve::InferenceServerConfig& config, const std::string& met
     std::printf("astraea_serve: served %llu decisions (%llu shed); shutting down\n",
                 static_cast<unsigned long long>(server.served_total()),
                 static_cast<unsigned long long>(server.shed_count()));
-    if (!metrics_out.empty()) {
-      std::FILE* f = std::fopen(metrics_out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open --metrics-out file: %s\n", metrics_out.c_str());
-        return 1;
-      }
-      std::fprintf(f, "%s\n", MetricsRegistry::Global().ToJson().c_str());
-      std::fclose(f);
+    if (!metrics_out.empty() &&
+        !cli::WriteOutputFile(metrics_out, MetricsRegistry::Global().ToJson() + "\n")) {
+      return 1;
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "astraea_serve: %s\n", e.what());

@@ -6,7 +6,6 @@
 //                 [--resume models/astraea_policy.ckpt.state-40]
 //                 [--checkpoint-every 10] [--keep 3]
 //                 [--metrics-out train_metrics.jsonl]
-//                 [--promote-against models/astraea_policy.ckpt]
 //
 // Training runs the vectorized trainer (DESIGN.md §14): --envs actor
 // environments on --workers threads (default 1) feeding one TD3 learner
@@ -18,7 +17,8 @@
 //
 // --metrics-out appends one JSON object per episode (reward components, TD
 // losses, gradient norms, replay occupancy) plus a final registry snapshot —
-// the machine-readable twin of the stdout table.
+// the machine-readable twin of the stdout table. A line that cannot be
+// written ends the run with exit 1.
 //
 // Crash safety: every --checkpoint-every episodes the full training state
 // (networks, optimizers, replay buffer, RNG streams, actor cursors) is
@@ -27,19 +27,16 @@
 // same command with --resume pointing at the newest state file continues to
 // the same end state — bit-identical to a run that was never interrupted.
 //
-// --promote-against runs the promotion gate (src/train/promotion.h) after
-// training: the freshly saved --out candidate is scored against the named
-// incumbent on the golden scenario suite and, only on an accept verdict,
-// atomically installed over it (the file astraea_serve hot-reloads on
-// SIGHUP).
+// The --out checkpoint is a candidate: `astraea_promote --install` scores it
+// against the installed model and replaces that file only on an accept.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
 #include <string>
 
-#include "src/train/promotion.h"
 #include "src/train/vectorized_trainer.h"
 #include "src/util/cli_flags.h"
 #include "src/util/metrics.h"
@@ -47,8 +44,14 @@
 namespace astraea {
 namespace {
 
+[[noreturn]] void CannotWrite(const std::string& path) {
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  std::exit(1);
+}
+
 struct EpisodePrinter {
   std::FILE* metrics_file = nullptr;
+  std::string metrics_path;
   double best_jain = -1.0;
   std::function<void(const std::string&)> save_policy;   // called on eval improvements
   std::function<std::string(int)> save_state;            // returns the state path
@@ -68,7 +71,10 @@ struct EpisodePrinter {
                    d.td3.critic_loss, d.td3.actor_objective, d.td3.critic_grad_norm,
                    d.td3.actor_grad_norm, static_cast<long long>(d.td3.updates), d.replay_size,
                    d.exploration_noise, d.eval_jain);
-      std::fflush(metrics_file);  // each episode survives a later crash
+      // Flushed per episode, so each episode survives a later crash.
+      if (std::fflush(metrics_file) != 0 || std::ferror(metrics_file) != 0) {
+        CannotWrite(metrics_path);
+      }
     }
     std::printf("%-8d %-12.4f %-10.4f %-10.3f %-12.5f ", d.episode, d.env.mean_reward,
                 d.env.mean_r_fair, d.env.mean_r_thr, d.td3.critic_loss);
@@ -88,32 +94,6 @@ struct EpisodePrinter {
   }
 };
 
-int RunPromotion(const std::string& candidate, const std::string& incumbent) {
-  PromotionGate gate;
-  GateReport report;
-  try {
-    report = gate.CompareFiles(candidate, incumbent);
-  } catch (const SerializationError& e) {
-    std::fprintf(stderr, "promotion gate error: %s\n", e.what());
-    return 1;
-  }
-  std::printf("promotion gate: %s\n", report.ToJson().c_str());
-  if (!report.accepted) {
-    std::printf("verdict: REJECT (%s); incumbent %s kept\n", report.reason.c_str(),
-                incumbent.c_str());
-    return 0;
-  }
-  try {
-    AtomicInstall(candidate, incumbent);
-  } catch (const SerializationError& e) {
-    std::fprintf(stderr, "install failed: %s\n", e.what());
-    return 1;
-  }
-  std::printf("verdict: ACCEPT (%s); installed %s -> %s\n", report.reason.c_str(),
-              candidate.c_str(), incumbent.c_str());
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   int episodes = 60;
   int env_instances = 1;
@@ -128,7 +108,6 @@ int Main(int argc, char** argv) {
   int workers = 1;
   int shards = 8;
   bool randomize = false;
-  std::string promote_against;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
@@ -150,8 +129,6 @@ int Main(int argc, char** argv) {
       shards = static_cast<int>(cli::ParseInt("--shards", next(), 1, 1024));
     } else if (std::strcmp(argv[i], "--randomize") == 0) {
       randomize = true;
-    } else if (std::strcmp(argv[i], "--promote-against") == 0) {
-      promote_against = next();
     } else if (std::strcmp(argv[i], "--out") == 0) {
       out = next();
     } else if (std::strcmp(argv[i], "--resume") == 0) {
@@ -182,8 +159,7 @@ int Main(int argc, char** argv) {
   if (!metrics_out.empty()) {
     metrics_file = std::fopen(metrics_out.c_str(), "w");
     if (metrics_file == nullptr) {
-      std::fprintf(stderr, "cannot open --metrics-out file: %s\n", metrics_out.c_str());
-      return 1;
+      CannotWrite(metrics_out);
     }
   }
 
@@ -202,6 +178,7 @@ int Main(int argc, char** argv) {
 
   EpisodePrinter printer;
   printer.metrics_file = metrics_file;
+  printer.metrics_path = metrics_out;
   printer.checkpoint_every = checkpoint_every;
   printer.out = out;
 
@@ -258,14 +235,13 @@ int Main(int argc, char** argv) {
     // and histograms, inference.* if any ran) as one JSON object.
     std::fprintf(metrics_file, "{\"registry\":%s}\n",
                  MetricsRegistry::Global().ToJson().c_str());
-    std::fclose(metrics_file);
+    const bool failed = std::ferror(metrics_file) != 0;
+    if (std::fclose(metrics_file) != 0 || failed) {
+      CannotWrite(metrics_out);
+    }
   }
   std::printf("done at episode %d; best eval Jain %.4f; checkpoint: %s\n",
               trainer.episodes_done(), printer.best_jain, out.c_str());
-
-  if (!promote_against.empty()) {
-    return RunPromotion(out, promote_against);
-  }
   return 0;
 }
 

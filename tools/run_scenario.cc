@@ -182,13 +182,9 @@ int Main(int argc, char** argv) {
               AverageJain(net, 0, until, Milliseconds(500)), LinkUtilization(net, 0, 0, until),
               MeanRttMs(net, 0, until), 100.0 * AggregateLossRatio(net));
   if (!args.metrics_out.empty()) {
-    std::FILE* f = std::fopen(args.metrics_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open --metrics-out file: %s\n", args.metrics_out.c_str());
+    if (!cli::WriteOutputFile(args.metrics_out, MetricsRegistry::Global().ToJson() + "\n")) {
       return 1;
     }
-    std::fprintf(f, "%s\n", MetricsRegistry::Global().ToJson().c_str());
-    std::fclose(f);
     std::printf("metrics registry written to %s\n", args.metrics_out.c_str());
   }
   return 0;
