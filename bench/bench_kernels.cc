@@ -60,9 +60,9 @@ constexpr int kLocalDim = 40;
 constexpr int kGlobalDim = 12;
 constexpr size_t kTrainBatch = 256;
 // Batch sizes for the per-row inference sweep: the serving path's small
-// batches (1-2 rows), both sides of 4-row tile boundaries, and the training
+// batches (1-3 rows), both sides of 4-row tile boundaries, and the training
 // batch.
-constexpr size_t kSweepBatches[] = {1, 2, 4, 8, 15, 16, 64, 256};
+constexpr size_t kSweepBatches[] = {1, 2, 3, 4, 8, 15, 16, 64, 256};
 
 Mlp PaperActor(uint64_t seed = 1) {
   Rng rng(seed);

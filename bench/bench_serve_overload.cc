@@ -9,7 +9,9 @@
 //   B  paced load at 1x / 2x / 4x capacity across many concurrent
 //      synchronous clients (1000, --quick: 320), recording per-outcome
 //      latency: served p50/p95/p99, shed fast-fail p50/p95, timeout and
-//      deadline-violation counts. The acceptance criterion lives here: at
+//      deadline-violation counts, and served requests per second with its
+//      ratio to the 1x point (a collapse under overload reads well below
+//      1). The acceptance criterion lives here: at
 //      4x capacity, shed responses must resolve in <10% of the rpc timeout.
 //   C  chaos: a supervised server under a seeded crash/corrupt/stall storm
 //      with self-healing RemotePolicy clients — reconnect counts, fallback
@@ -123,6 +125,7 @@ struct LoadPoint {
   uint64_t timeouts = 0;
   uint64_t errors = 0;
   uint64_t deadline_violations = 0;  // served latency > 1.5 * rpc_timeout
+  double served_rps = 0.0;  // served responses per second of the measured window
   double served_p50 = 0.0, served_p95 = 0.0, served_p99 = 0.0;
   double shed_p50 = 0.0, shed_p95 = 0.0;
 };
@@ -212,6 +215,7 @@ LoadPoint RunLoadPoint(std::vector<std::unique_ptr<ServeClient>>& clients, doubl
   }
   const double window_s = ToSeconds(until - cutoff);
   point.achieved_rps = window_s > 0 ? static_cast<double>(point.attempts) / window_s : 0.0;
+  point.served_rps = window_s > 0 ? static_cast<double>(point.served) / window_s : 0.0;
   point.served_p50 = Percentile(served_lat, 50.0);
   point.served_p95 = Percentile(served_lat, 95.0);
   point.served_p99 = Percentile(served_lat, 99.0);
@@ -489,6 +493,10 @@ int Main(int argc, char** argv) {
     record.Metric(key + "achieved_rps", p.achieved_rps, "req/s");
     record.Metric(key + "attempts", static_cast<double>(p.attempts), "count");
     record.Metric(key + "served", static_cast<double>(p.served), "count");
+    record.Metric(key + "served_rps", p.served_rps, "req/s");
+    record.Metric(key + "served_rps_vs_1x",
+                  points.front().served_rps > 0 ? p.served_rps / points.front().served_rps : 0.0,
+                  "ratio");
     record.Metric(key + "shed", static_cast<double>(p.shed), "count");
     record.Metric(key + "timeouts", static_cast<double>(p.timeouts), "count");
     record.Metric(key + "errors", static_cast<double>(p.errors), "count");

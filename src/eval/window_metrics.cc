@@ -1,9 +1,8 @@
 #include "src/eval/window_metrics.h"
 
 #include <algorithm>
-#include <fstream>
+#include <sstream>
 
-#include "src/util/serialization.h"
 #include "src/util/stats.h"
 
 namespace astraea {
@@ -137,11 +136,8 @@ double HarmIndex(double baseline_mbps, double actual_mbps) {
   return std::max(0.0, 1.0 - actual_mbps / baseline_mbps);
 }
 
-void WriteFlowStatsCsv(const Network& net, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw SerializationError("cannot open CSV for writing: " + path);
-  }
+std::string FlowStatsCsv(const Network& net) {
+  std::ostringstream out;
   out << "time_s,flow,scheme,throughput_mbps,rtt_ms,cwnd_pkts\n";
   for (size_t i = 0; i < net.flow_count(); ++i) {
     const int id = static_cast<int>(i);
@@ -152,6 +148,7 @@ void WriteFlowStatsCsv(const Network& net, const std::string& path) {
           << stats.rtt_ms.ValueAt(t) << ',' << stats.cwnd_packets.ValueAt(t) << "\n";
     }
   }
+  return out.str();
 }
 
 ConvergenceMeasurement MeasureConvergence(const Network& net, int flow_id, TimeNs event_time,

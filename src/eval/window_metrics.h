@@ -66,9 +66,10 @@ double WorstFlowShare(const std::vector<double>& throughputs_mbps);
 // (doing better than baseline) clamps to 0.
 double HarmIndex(double baseline_mbps, double actual_mbps);
 
-// Dumps every flow's per-MTP series as CSV (columns: time_s, flow, scheme,
-// throughput_mbps, rtt_ms, cwnd_pkts) for offline plotting.
-void WriteFlowStatsCsv(const Network& net, const std::string& path);
+// Every flow's per-MTP series as CSV text (columns: time_s, flow, scheme,
+// throughput_mbps, rtt_ms, cwnd_pkts) for offline plotting; run_scenario
+// --csv writes it with cli::WriteOutputFile.
+std::string FlowStatsCsv(const Network& net);
 
 // Fig. 12 definitions. A "flow event" is an arrival or departure; after each
 // event the *younger* affected flows should converge to the new fair share.

@@ -28,20 +28,14 @@ long FutexSyscall(std::atomic<uint32_t>* word, int op, uint32_t val,
   return syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), op, val, timeout, nullptr, 0);
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-inline void CpuRelax() { __builtin_ia32_pause(); }
-#else
-inline void CpuRelax() { std::atomic_signal_fence(std::memory_order_seq_cst); }
-#endif
-
-int SpinIterations() {
-  // On a single-CPU host a spinning waiter only steals the core from the very
-  // peer it is waiting on, so park immediately instead.
-  static const int iters = std::thread::hardware_concurrency() > 1 ? 4000 : 0;
-  return iters;
-}
+int SpinIterations() { return SpinningPays() ? 4000 : 0; }
 
 }  // namespace
+
+bool SpinningPays() {
+  static const bool pays = std::thread::hardware_concurrency() > 1;
+  return pays;
+}
 
 TimeNs MonotonicNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -87,6 +87,20 @@ struct SpscRing {
 static_assert(std::atomic<uint64_t>::is_always_lock_free);
 static_assert(std::atomic<uint32_t>::is_always_lock_free);
 
+// False on a single-CPU host, where a spinning waiter only steals the core
+// from the very peer it is waiting on: waiters (WaitDoorbell, the inference
+// server's poll after a flush) then park at once instead of spinning.
+bool SpinningPays();
+
+// One spin-wait hint (x86 PAUSE; elsewhere only a compiler barrier).
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
 // FUTEX_WAKE on `word` (non-private: works across processes on MAP_SHARED
 // memory). No-op count<=0.
 void FutexWake(std::atomic<uint32_t>* word, int count);

@@ -14,8 +14,8 @@
 namespace astraea::nn {
 namespace {
 
-// Gemm rows below this count never reach a variant's multi-row tiles.
-constexpr size_t kMinTileRows = 4;
+// Gemm passes below this many rows never reach a variant's multi-row tiles.
+constexpr size_t kMinTileRows = 2;
 
 // ---- Portable bodies. Each variant below is one of these always-inline
 // bodies compiled for one instruction set; only the lane width differs.
@@ -242,13 +242,19 @@ ASTRAEA_NN_AVX512 void Tile512(const float* a, size_t a_row, size_t a_col, size_
   }
 }
 
-// kRows rows across every column: 32-column tiles (2 x kRows accumulators),
-// then one 16-column tile and one masked tile for the last columns.
+// kRows rows across every column: two or three rows in 64-column tiles (4 x
+// kRows accumulators), four or six in 32-column tiles (2 x kRows), then at
+// most one 32-column, one 16-column and one masked tile for the last columns.
 template <size_t kRows>
 ASTRAEA_NN_AVX512 void RowBlock512(const float* a, size_t a_row, size_t a_col, const float* b,
                                    const float* init, size_t init_ld, float* c, size_t k,
                                    size_t n) {
   size_t j = 0;
+  if constexpr (kRows <= 3) {
+    for (; j + 64 <= n; j += 64) {
+      Tile512<kRows, 4, false>(a, a_row, a_col, k, b, n, init, init_ld, c, j, 0);
+    }
+  }
   for (; j + 32 <= n; j += 32) {
     Tile512<kRows, 2, false>(a, a_row, a_col, k, b, n, init, init_ld, c, j, 0);
   }
@@ -267,7 +273,8 @@ ASTRAEA_NN_AVX512 void RowBlock512(const float* a, size_t a_row, size_t a_col, c
 // 6-row blocks (12 zmm accumulators per 32 columns), then 4-row blocks. A
 // one-row tile costs about two rows of a block, so when two or three rows
 // would be left over, the last 6-row block becomes two 4-row blocks: at most
-// one row is left over once m >= 4.
+// one row is left over once m >= 4. A pass of two or three rows (a small
+// serving batch) runs one 2- or 3-row block.
 __attribute__((target("avx512f"))) size_t GemmTilesAvx512(const float* a, size_t a_row,
                                                           size_t a_col, const float* b,
                                                           const float* init, size_t init_ld,
@@ -286,6 +293,13 @@ __attribute__((target("avx512f"))) size_t GemmTilesAvx512(const float* a, size_t
     RowBlock512<4>(a + r * a_row, a_row, a_col, b,
                    init != nullptr ? init + r * init_ld : nullptr, init_ld, c + r * n, k, n);
   }
+  if (m == 2) {
+    RowBlock512<2>(a, a_row, a_col, b, init, init_ld, c, k, n);
+    r = 2;
+  } else if (m == 3) {
+    RowBlock512<3>(a, a_row, a_col, b, init, init_ld, c, k, n);
+    r = 3;
+  }
   return r;
 }
 
@@ -300,8 +314,8 @@ __attribute__((target("avx512f"))) void AdamAvx512(float* params, float* m, floa
   AdamBody(params, m, v, grads, n, coefficients);
 }
 
-// One-row tiles stay on the AVX2 code: batches of one to three rows run no
-// 512-bit instruction.
+// One-row tiles stay on the AVX2 code: a one-row pass runs no 512-bit
+// instruction.
 constexpr Kernels kAvx512Kernels = {GemmTilesAvx512, GemmRowsAvx2, ColumnSumAvx512,
                                     AdamAvx512};
 
@@ -402,9 +416,9 @@ void AdamUpdate(float* params, float* m, float* v, const float* grads, size_t n,
   Active()->adam(params, m, v, grads, n, coefficients);
 }
 
-ScopedVariant::ScopedVariant(Variant variant) : saved_(Active()) {
-  Active() = &KernelsOf(variant);
-}
+ScopedVariant::ScopedVariant(Variant variant) : ScopedVariant(KernelsOf(variant)) {}
+
+ScopedVariant::ScopedVariant(const Kernels& kernels) : saved_(Active()) { Active() = &kernels; }
 
 ScopedVariant::~ScopedVariant() { Active() = saved_; }
 

@@ -5,10 +5,12 @@
 //
 // Selection (DESIGN.md §6.1). The CPU is read once, on first use, and the
 // widest variant it supports is selected; there is no flag and no
-// environment variable. Gemm hands the rows that fill a multi-row tile to
-// that variant. The rows left over — every row of a batch below four, such as
-// per-decision inference — run one-row tiles of the AVX2 variant (of the
-// baseline where AVX2 is missing), so small batches execute no 512-bit
+// environment variable. Gemm hands every pass of two or more rows to that
+// variant's multi-row tiles (avx512f: blocks of 2, 3, 4 and 6 rows; avx2 and
+// the baseline: 4 rows). The rows they leave over — a one-row pass such as
+// per-decision inference, the last row of some avx512f passes, up to three
+// rows elsewhere — run one-row tiles of the AVX2 variant (of the baseline
+// where AVX2 is missing), so one-row inference executes no 512-bit
 // instruction. ColumnSum and AdamUpdate run the selected variant.
 //
 // Every variant adds each output's terms in the same order (DESIGN.md §6.1)
@@ -79,6 +81,9 @@ void AdamUpdate(float* params, float* m, float* v, const float* grads, size_t n,
 class ScopedVariant {
  public:
   explicit ScopedVariant(Variant variant);
+  // Runs `kernels`, which must outlive this object (a test's wrappers around
+  // a variant's kernels, say).
+  explicit ScopedVariant(const Kernels& kernels);
   ~ScopedVariant();
   ScopedVariant(const ScopedVariant&) = delete;
   ScopedVariant& operator=(const ScopedVariant&) = delete;

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "src/ipc/uds.h"
 #include "src/serve/serve_metrics.h"
@@ -19,6 +18,16 @@
 
 namespace astraea {
 namespace serve {
+
+namespace {
+
+// How long IdleWait polls the request rings after a flush before it parks. A
+// closed-loop client answers its response with its next request within a few
+// microseconds, so the poll catches it without the park's eventfd write,
+// epoll_wait and wake-up; an idle server parks this long after its last flush.
+constexpr TimeNs kPollAfterFlush = Microseconds(50);
+
+}  // namespace
 
 InferenceServer::InferenceServer(InferenceServerConfig config)
     : config_(std::move(config)), metrics_(RegisterServerMetrics()) {
@@ -76,7 +85,18 @@ void InferenceServer::Run() {
       // iterations even under overload.
       MaybeReload();
     }
-    AcceptClients();
+    // Accepting and reaping cost syscalls, so they run only after a park saw
+    // the listen socket readable, or on a timer: a server kept busy by polling
+    // may not park for a long time.
+    const TimeNs turn = ipc::MonotonicNowNs();
+    if (accept_due_ || turn >= next_housekeeping_ns_) {
+      if (pending_.empty()) {
+        ReapDeadClients();
+      }
+      AcceptClients();
+      accept_due_ = false;
+      next_housekeeping_ns_ = turn + config_.idle_wait;
+    }
     DrainRequests();
     if (pending_.empty()) {
       IdleWait();
@@ -85,13 +105,10 @@ void InferenceServer::Run() {
     const TimeNs now = ipc::MonotonicNowNs();
     const TimeNs deadline = pending_.front().enqueue_ns + config_.batch_window;
     // Clients are synchronous (one outstanding request each), so once every
-    // live client has a request pending, no more can arrive: flush now
-    // instead of burning the rest of the batch window on a full batch.
-    size_t live = 0;
-    for (const auto& client : clients_) {
-      live += client->dead ? 0 : 1;
-    }
-    if (pending_.size() >= config_.max_batch || pending_.size() >= live || now >= deadline) {
+    // client has a request pending, no more can arrive: flush now instead of
+    // burning the rest of the batch window on a full batch.
+    if (pending_.size() >= config_.max_batch || pending_.size() >= clients_.size() ||
+        now >= deadline) {
       FlushBatch();
     } else {
       // Sub-window spin: keep draining so late arrivals join this batch. The
@@ -207,9 +224,6 @@ void InferenceServer::DrainRequests() {
     for (size_t k = 0; k < n && pending_.size() < cap; ++k) {
       const size_t c = (start + k) % n;
       Client* client = clients_[c].get();
-      if (client->dead) {
-        continue;
-      }
       RequestRecord req{};
       if (!client->region->request.TryPop(&req, sizeof(req))) {
         continue;
@@ -274,7 +288,6 @@ void InferenceServer::FlushBatch() {
   const size_t out_dim = static_cast<size_t>(actor_->output_size());
 
   const TimeNs now = ipc::MonotonicNowNs();
-  std::unordered_set<size_t> touched;
   for (size_t i = 0; i < n; ++i) {
     const Pending& p = pending_[i];
     Client* client = clients_[p.client_index].get();
@@ -296,14 +309,12 @@ void InferenceServer::FlushBatch() {
     if (!client->region->response.TryPush(&resp, sizeof(resp))) {
       metrics_.responses_dropped_total.Increment();
     }
+    ipc::WakeConsumer(&client->region->response);
     metrics_.service_latency_seconds.Observe(ToSeconds(std::max<TimeNs>(now - p.enqueue_ns, 0)));
-    touched.insert(p.client_index);
-  }
-  for (const size_t c : touched) {
-    ipc::WakeConsumer(&clients_[c]->region->response);
   }
   served_total_.fetch_add(n, std::memory_order_acq_rel);
   metrics_.batches_total.Increment();
+  flushed_since_park_ = true;
   pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(n));
   batch_states_.erase(batch_states_.begin(),
                       batch_states_.begin() + static_cast<ptrdiff_t>(n * dim));
@@ -343,7 +354,7 @@ void InferenceServer::MaybeReload() {
 void InferenceServer::ReapDeadClients() {
   bool changed = false;
   for (auto it = clients_.begin(); it != clients_.end();) {
-    if ((*it)->dead || !ipc::PeerAlive((*it)->sock)) {
+    if (!ipc::PeerAlive((*it)->sock)) {
       close((*it)->sock);
       it = clients_.erase(it);
       changed = true;
@@ -358,7 +369,26 @@ void InferenceServer::ReapDeadClients() {
   }
 }
 
+bool InferenceServer::PollRequests() const {
+  const TimeNs until = ipc::MonotonicNowNs() + kPollAfterFlush;
+  do {
+    for (const auto& client : clients_) {
+      if (client->region->request.SizeApprox() > 0) {
+        return true;
+      }
+    }
+    ipc::CpuRelax();
+  } while (ipc::MonotonicNowNs() < until && !stop_.load(std::memory_order_relaxed));
+  return false;
+}
+
 void InferenceServer::IdleWait() {
+  // With no flush since the last park (a handshake in progress, an idle
+  // server), park at once.
+  if (flushed_since_park_ && ipc::SpinningPays() && PollRequests()) {
+    return;
+  }
+  flushed_since_park_ = false;
   // Only safe when pending_ is empty: reaping renumbers client indices.
   ReapDeadClients();
 
@@ -376,17 +406,23 @@ void InferenceServer::IdleWait() {
     }
   }
   if (!work) {
-    epoll_event events[4];
+    epoll_event events[2];
     const int timeout_ms = static_cast<int>(
         std::clamp<TimeNs>(config_.idle_wait / kNanosPerMilli, 1, 1000));
-    epoll_wait(epoll_fd_, events, 4, timeout_ms);
+    const int ready = epoll_wait(epoll_fd_, events, 2, timeout_ms);
+    metrics_.parks_total.Increment();
+    for (int e = 0; e < ready; ++e) {
+      if (events[e].data.fd == listen_fd_) {
+        accept_due_ = true;
+      } else {
+        // Reset the eventfd counter so the next doorbell write re-arms epoll.
+        uint64_t count;
+        [[maybe_unused]] const ssize_t got = read(event_fd_, &count, sizeof(count));
+      }
+    }
   }
   for (auto& client : clients_) {
     client->region->request.consumer_parked.store(0, std::memory_order_release);
-  }
-  // Drain the eventfd counter so the next doorbell write re-arms epoll.
-  uint64_t drained;
-  while (read(event_fd_, &drained, sizeof(drained)) > 0) {
   }
 }
 

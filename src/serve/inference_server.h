@@ -41,8 +41,8 @@
 // Metrics (MetricsRegistry::Global()):
 //   serve.requests_total / serve.batches_total / serve.bad_requests_total /
 //   serve.responses_dropped_total / serve.reloads_total /
-//   serve.reload_errors_total / serve.shed_total / serve.drain_rounds
-//   (counters)
+//   serve.reload_errors_total / serve.shed_total / serve.drain_rounds /
+//   serve.parks_total (counters; a park is one epoll_wait of the idle loop)
 //   serve.clients / serve.queue_depth / serve.est_batch_latency_seconds
 //   (gauges)
 //   serve.batch_size / serve.service_latency_seconds (histograms; latency is
@@ -74,7 +74,8 @@ struct InferenceServerConfig {
   size_t max_batch = 64;
   // How long the accept path may wait for a client's hello message.
   TimeNs handshake_timeout = Milliseconds(200);
-  // Idle park duration per wait (bounded so Stop() is prompt).
+  // Idle park duration per wait (bounded so Stop() is prompt), and how often
+  // a server that does not park accepts new clients and reaps dead ones.
   TimeNs idle_wait = Milliseconds(5);
   // Admission control: a drained request is shed (kRejected) when its
   // queue-position projection, now + shed_margin * EWMA(flush latency) *
@@ -113,7 +114,6 @@ class InferenceServer {
   struct Client {
     int sock = -1;
     ipc::MappedRegion region;
-    bool dead = false;
   };
   struct Pending {
     size_t client_index;
@@ -125,6 +125,9 @@ class InferenceServer {
   void DrainRequests();
   void FlushBatch();
   void MaybeReload();
+  // Spins on the request rings for up to kPollAfterFlush; true once one holds
+  // a request.
+  bool PollRequests() const;
   void IdleWait();
   void ReapDeadClients();
   void RespondError(Client* client, uint64_t req_id, uint32_t status);
@@ -144,6 +147,9 @@ class InferenceServer {
   // EWMA of recent flush (inference + publish) wall time; the admission
   // policy's estimate of how long a newly admitted request will wait.
   TimeNs est_flush_ns_ = 0;
+  bool accept_due_ = true;  // a park saw the listen socket readable
+  TimeNs next_housekeeping_ns_ = 0;
+  bool flushed_since_park_ = false;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> reload_{false};

@@ -13,6 +13,7 @@ ServerMetrics RegisterServerMetrics() {
           reg.GetCounter("serve.reload_errors_total"),
           reg.GetCounter("serve.shed_total"),
           reg.GetCounter("serve.drain_rounds"),
+          reg.GetCounter("serve.parks_total"),
           reg.GetGauge("serve.clients"),
           reg.GetGauge("serve.queue_depth"),
           reg.GetGauge("serve.est_batch_latency_seconds"),

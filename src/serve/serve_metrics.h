@@ -26,6 +26,7 @@ struct ServerMetrics {
   Counter& reload_errors_total;
   Counter& shed_total;
   Counter& drain_rounds;
+  Counter& parks_total;
   Gauge& clients;
   Gauge& queue_depth;
   Gauge& est_batch_latency_seconds;

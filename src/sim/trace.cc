@@ -17,8 +17,8 @@ constexpr uint32_t kRecordSize = 41;
 
 void PutBytes(std::FILE* f, const void* p, size_t n) {
   if (std::fwrite(p, 1, n, f) != n) {
-    // Tracing must never abort a simulation; the stream error flag is checked
-    // once at Close() by the caller if it cares.
+    // Tracing must never abort a simulation; the stream's error flag is
+    // reported by Close().
   }
 }
 
@@ -136,19 +136,24 @@ void Tracer::Flush() {
     WriteOut(ev);
   }
   ring_.clear();
-  std::fflush(file_);
+  if (std::fflush(file_) != 0 || std::ferror(file_) != 0) {
+    write_failed_ = true;
+  }
 }
 
-void Tracer::Close() {
+bool Tracer::Close() {
   if (closed_) {
-    return;
+    return !write_failed_;
   }
   Flush();
   if (file_ != nullptr) {
-    std::fclose(file_);
+    if (std::fclose(file_) != 0) {
+      write_failed_ = true;
+    }
     file_ = nullptr;
   }
   closed_ = true;
+  return !write_failed_;
 }
 
 std::vector<TraceEvent> Tracer::BufferedEvents() const {

@@ -73,8 +73,9 @@ class Tracer {
   void Flush();
   // Flush + close the sink. Further Record() calls are dropped. Called by the
   // destructor; explicit Close() lets callers observe completion before
-  // reading the file back.
-  void Close();
+  // reading the file back. Returns false when a write, flush or close of the
+  // sink failed at any point (a full disk, say), so the file is incomplete.
+  bool Close();
 
   uint64_t recorded() const { return recorded_; }
   Format format() const { return format_; }
@@ -96,6 +97,7 @@ class Tracer {
   bool ring_wrapped_ = false;
   std::FILE* file_ = nullptr;
   bool closed_ = false;
+  bool write_failed_ = false;
   uint64_t recorded_ = 0;
 };
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/nn/kernels.h"
 #include "src/nn/mlp.h"
@@ -165,9 +166,33 @@ INSTANTIATE_TEST_SUITE_P(Variants, MlpVariantTest,
                            return std::string(nn::VariantName(param.param));
                          });
 
-// The selection rule: the widest variant the CPU runs, whose rows outside the
-// multi-row tiles — every row of a batch below four — take the AVX2 one-row
-// tiles, so per-decision inference executes no 512-bit instruction.
+// The row count of every gemm_tiles and gemm_rows call Gemm makes while
+// CountingKernels runs; each call is passed on to `inner`.
+struct GemmCalls {
+  const nn::Kernels* inner = nullptr;
+  std::vector<size_t> tiles;
+  std::vector<size_t> rows;
+};
+GemmCalls g_gemm_calls;
+
+size_t CountingGemmTiles(const float* a, size_t a_row, size_t a_col, const float* b,
+                         const float* init, size_t init_ld, float* c, size_t m, size_t k,
+                         size_t n) {
+  g_gemm_calls.tiles.push_back(m);
+  return g_gemm_calls.inner->gemm_tiles(a, a_row, a_col, b, init, init_ld, c, m, k, n);
+}
+
+void CountingGemmRows(const float* a, size_t a_row, size_t a_col, const float* b,
+                      const float* init, size_t init_ld, float* c, size_t m, size_t k,
+                      size_t n) {
+  g_gemm_calls.rows.push_back(m);
+  g_gemm_calls.inner->gemm_rows(a, a_row, a_col, b, init, init_ld, c, m, k, n);
+}
+
+// The selection rule: the widest variant the CPU runs. Every pass of two or
+// more rows goes to its multi-row tiles — on avx512f a 2- or 3-row pass is
+// one zmm block — and a one-row pass runs the AVX2 one-row tiles, so
+// per-decision inference executes no 512-bit instruction.
 TEST(MlpTest, SelectsTheWidestVariantWithAvx2OneRowTiles) {
   const nn::Variant selected = nn::Selected();
   std::printf("batched kernels selected: %s\n", nn::VariantName(selected));
@@ -179,6 +204,36 @@ TEST(MlpTest, SelectsTheWidestVariantWithAvx2OneRowTiles) {
   if (nn::Supported(nn::Variant::kAvx512f)) {
     EXPECT_EQ(nn::KernelsOf(nn::Variant::kAvx512f).gemm_rows,
               nn::KernelsOf(nn::Variant::kAvx2).gemm_rows);
+  }
+
+  const nn::Kernels& kernels = nn::KernelsOf(selected);
+  nn::Kernels counting = kernels;
+  counting.gemm_tiles = CountingGemmTiles;
+  counting.gemm_rows = CountingGemmRows;
+  g_gemm_calls.inner = &kernels;
+  nn::ScopedVariant scoped(counting);
+  // 70 columns: 64-wide tiles plus a masked tail on avx512f.
+  constexpr size_t kK = 9;
+  constexpr size_t kN = 70;
+  const std::vector<float> a = RandomInputs(3 * kK, 41);
+  const std::vector<float> b = RandomInputs(kK * kN, 42);
+  std::vector<float> c(3 * kN);
+  for (size_t m = 1; m <= 3; ++m) {
+    g_gemm_calls.tiles.clear();
+    g_gemm_calls.rows.clear();
+    nn::Gemm(a.data(), kK, 1, b.data(), nullptr, 0, c.data(), m, kK, kN);
+    if (m == 1) {
+      EXPECT_TRUE(g_gemm_calls.tiles.empty());
+      EXPECT_EQ(g_gemm_calls.rows, std::vector<size_t>{1});
+      continue;
+    }
+    EXPECT_EQ(g_gemm_calls.tiles, std::vector<size_t>{m}) << m << " rows";
+    if (selected == nn::Variant::kAvx512f) {
+      EXPECT_TRUE(g_gemm_calls.rows.empty()) << m << " rows";
+    } else {
+      // Four-row tiles only: the rows come back to the one-row tiles.
+      EXPECT_EQ(g_gemm_calls.rows, std::vector<size_t>{m}) << m << " rows";
+    }
   }
 }
 

@@ -237,6 +237,85 @@ TEST(ServeTest, ManyConcurrentClientsAllServedCorrectly) {
   std::remove(model_path.c_str());
 }
 
+// A server kept busy by closed-loop clients may not park in epoll_wait for a
+// long time (it polls for their next requests instead), so it must accept a
+// new connection on its idle_wait timer. A newcomer whose handshake completes
+// while serve.parks_total stands still was accepted that way; an attempt
+// during which the server parked proves nothing and is repeated.
+TEST(ServeTest, ClientConnectingWhileTwoClosedLoopClientsKeepTheServerBusyIsServed) {
+  if (!ipc::SpinningPays()) {
+    GTEST_SKIP() << "single-CPU host: the server parks after every flush";
+  }
+  const Mlp model = MakeModel(17);
+  const std::string model_path = UniquePath("busy.ckpt");
+  WriteRawModel(model, model_path);
+
+  InferenceServerConfig config;
+  config.socket_path = UniquePath("busy.sock");
+  config.model_path = model_path;
+  config.idle_wait = Milliseconds(1);
+  ServerFixture fixture(config);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> busy_failures{0};
+  std::atomic<uint64_t> busy_served{0};
+  std::vector<std::thread> busy;
+  for (int c = 0; c < 2; ++c) {
+    std::unique_ptr<ServeClient> client = ConnectOrDie(config.socket_path, Seconds(2.0));
+    ASSERT_NE(client, nullptr);
+    busy.emplace_back([&, client = std::shared_ptr<ServeClient>(std::move(client)), c] {
+      Rng rng(300 + static_cast<uint64_t>(c));
+      while (!stop.load()) {
+        if (client->Request(RandomState(&rng)).has_value()) {
+          busy_served.fetch_add(1);
+        } else {
+          busy_failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  const TimeNs busy_deadline = ipc::MonotonicNowNs() + Seconds(10.0);
+  while (busy_served.load() < 2000 && ipc::MonotonicNowNs() < busy_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(busy_served.load(), 2000u);
+
+  const Counter& parks = MetricsRegistry::Global().GetCounter("serve.parks_total");
+  const uint64_t served_at_connect = busy_served.load();
+  ServeClientConfig newcomer_config;
+  newcomer_config.socket_path = config.socket_path;
+  newcomer_config.rpc_timeout = Seconds(2.0);
+  std::unique_ptr<ServeClient> newcomer;
+  int attempts = 0;
+  while (newcomer == nullptr && attempts < 100) {
+    ++attempts;
+    const uint64_t parks_before = parks.Value();
+    std::unique_ptr<ServeClient> candidate = ServeClient::Connect(newcomer_config);
+    // Parked or not, the server answers within connect_timeout (500 ms).
+    ASSERT_NE(candidate, nullptr) << "attempt " << attempts << ": no handshake";
+    if (parks.Value() == parks_before) {
+      newcomer = std::move(candidate);
+    }
+  }
+  ASSERT_NE(newcomer, nullptr) << "no handshake completed without a park in " << attempts
+                               << " attempts";
+  Rng rng(7);
+  for (int i = 0; i < 50; ++i) {
+    const std::vector<float> state = RandomState(&rng);
+    const std::optional<double> served = newcomer->Request(state);
+    ASSERT_TRUE(served.has_value()) << "request " << i;
+    EXPECT_NEAR(*served, static_cast<double>(model.Infer(state)[0]), 1e-6) << "request " << i;
+  }
+  const uint64_t served_before_stop = busy_served.load();
+  stop.store(true);
+  for (std::thread& t : busy) {
+    t.join();
+  }
+  EXPECT_GT(served_before_stop, served_at_connect);
+  EXPECT_EQ(busy_failures.load(), 0);
+  std::remove(model_path.c_str());
+}
+
 TEST(ServeTest, WrongDimensionRequestIsRejectedNotServed) {
   const Mlp model = MakeModel(17);
   const std::string model_path = UniquePath("dim.ckpt");
@@ -656,14 +735,15 @@ TEST(ServeTest, ServeMetricsPreRegisteredAtConstruction) {
   config.model_path = model_path;
   InferenceServer server(std::move(config));  // construction alone registers
 
-  // All 22 serve.* names, both sides of the boundary, the ones perfbench
+  // All 23 serve.* names, both sides of the boundary, the ones perfbench
   // (serve.batch_size, serve.service_latency_seconds, serve.shed_total) and
   // CI (serve.client.requests_total, serve.fallback_total) read included.
   const std::string json = MetricsRegistry::Global().ToJson();
   for (const char* name :
        {"serve.requests_total", "serve.batches_total", "serve.bad_requests_total",
         "serve.responses_dropped_total", "serve.reloads_total", "serve.reload_errors_total",
-        "serve.shed_total", "serve.drain_rounds", "serve.clients", "serve.queue_depth",
+        "serve.shed_total", "serve.drain_rounds", "serve.parks_total", "serve.clients",
+        "serve.queue_depth",
         "serve.est_batch_latency_seconds", "serve.batch_size", "serve.service_latency_seconds",
         "serve.client.requests_total", "serve.client.timeouts_total",
         "serve.client.corrupt_total", "serve.client.rejected_total",

@@ -12,6 +12,7 @@
 
 #include "src/util/backoff.h"
 #include "src/util/chaos.h"
+#include "src/util/checkpoint.h"
 #include "src/util/cli_flags.h"
 #include "src/util/failpoint.h"
 #include "src/util/rng.h"
@@ -463,6 +464,35 @@ TEST(TimeSeriesTest, FirstStableEntryRejectsTransients) {
   }
   const TimeNs entry = ts.FirstStableEntry(0, 10.0, 0.1, Seconds(3.0));
   EXPECT_EQ(entry, Seconds(3.0));
+}
+
+// The definition Crc32 must match: one table lookup per byte.
+uint32_t Crc32ByteAtATime(const unsigned char* p, size_t len) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SliceBy8MatchesTheByteAtATimeDefinition) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  std::vector<unsigned char> bytes(8 + 300);
+  Rng rng(24);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  // Every start offset within a word and every length across several 8-byte
+  // strides and tails.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, len), Crc32ByteAtATime(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(SerializationTest, RoundTrip) {

@@ -26,6 +26,8 @@
 // files. --episodes is the TOTAL target, so after a crash, rerunning the
 // same command with --resume pointing at the newest state file continues to
 // the same end state — bit-identical to a run that was never interrupted.
+// A checkpoint or state file that cannot be written ends the run with exit 1
+// and `cannot write <path>`.
 //
 // The --out checkpoint is a candidate: `astraea_promote --install` scores it
 // against the installed model and replaces that file only on an accept.
@@ -47,6 +49,17 @@ namespace {
 [[noreturn]] void CannotWrite(const std::string& path) {
   std::fprintf(stderr, "cannot write %s\n", path.c_str());
   std::exit(1);
+}
+
+// Runs save(), which writes `path`; a file that cannot be written ends the
+// run like an unwritable metrics file.
+template <typename Save>
+void SaveOrExit(const std::string& path, Save save) {
+  try {
+    save();
+  } catch (const SerializationError&) {
+    CannotWrite(path);
+  }
 }
 
 struct EpisodePrinter {
@@ -214,10 +227,12 @@ int Main(int argc, char** argv) {
       episode_len_s);
   std::printf("%-8s %-12s %-10s %-10s %-12s %-10s\n", "episode", "mean_reward", "r_fair",
               "r_thr", "critic_loss", "eval_jain");
-  printer.save_policy = [&trainer](const std::string& path) { trainer.SaveCheckpoint(path); };
+  printer.save_policy = [&trainer](const std::string& path) {
+    SaveOrExit(path, [&] { trainer.SaveCheckpoint(path); });
+  };
   printer.save_state = [&trainer, &out, &rotate](int episode) {
     const std::string path = out + ".state-" + std::to_string(episode);
-    trainer.SaveState(path);
+    SaveOrExit(path, [&] { trainer.SaveState(path); });
     return rotate(path);
   };
   trainer.Train(remaining, std::ref(printer));
@@ -225,7 +240,7 @@ int Main(int argc, char** argv) {
     printer.save_state(trainer.episodes_done());
   }
   if (printer.best_jain < 0.0) {
-    trainer.SaveCheckpoint(out);
+    SaveOrExit(out, [&] { trainer.SaveCheckpoint(out); });
   }
   std::printf("state fingerprint: %08x (env steps %llu)\n", trainer.StateFingerprint(),
               static_cast<unsigned long long>(trainer.total_env_steps()));

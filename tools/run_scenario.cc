@@ -21,10 +21,14 @@
 // rto/cwnd/action) to a file — binary by default (convert with trace_dump),
 // JSONL with --trace-format jsonl. Tracing never perturbs the simulation: a
 // traced run produces bit-identical results to an untraced one.
+//
+// A --trace-out, --csv or --metrics-out file that cannot be written ends the
+// run with exit 1 and `cannot write <path>` on stderr.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -133,16 +137,24 @@ int Main(int argc, char** argv) {
   }
   std::unique_ptr<Tracer> tracer;
   if (!args.trace_out.empty()) {
-    tracer = std::make_unique<Tracer>(
-        args.trace_out,
-        args.trace_format == "jsonl" ? Tracer::Format::kJsonl : Tracer::Format::kBinary);
+    try {
+      tracer = std::make_unique<Tracer>(
+          args.trace_out,
+          args.trace_format == "jsonl" ? Tracer::Format::kJsonl : Tracer::Format::kBinary);
+    } catch (const std::runtime_error&) {
+      std::fprintf(stderr, "cannot write %s\n", args.trace_out.c_str());
+      return 1;
+    }
     scenario.network().SetTracer(tracer.get());
   }
 
   const TimeNs until = Seconds(args.until_s);
   scenario.Run(until);
   if (tracer != nullptr) {
-    tracer->Close();
+    if (!tracer->Close()) {
+      std::fprintf(stderr, "cannot write %s\n", args.trace_out.c_str());
+      return 1;
+    }
     std::printf("%llu events traced to %s\n",
                 static_cast<unsigned long long>(tracer->recorded()), args.trace_out.c_str());
   }
@@ -175,7 +187,9 @@ int Main(int argc, char** argv) {
   }
   table.Print();
   if (!args.csv_out.empty()) {
-    WriteFlowStatsCsv(net, args.csv_out);
+    if (!cli::WriteOutputFile(args.csv_out, FlowStatsCsv(net))) {
+      return 1;
+    }
     std::printf("per-MTP series written to %s\n", args.csv_out.c_str());
   }
   std::printf("avg Jain: %.4f   utilization: %.3f   mean RTT: %.1f ms   loss: %.4f%%\n",
