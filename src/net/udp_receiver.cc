@@ -19,7 +19,7 @@ constexpr TimeNs kFinLinger = Milliseconds(250);
 
 // How far behind the newest sequence a hole may trail before the cumulative
 // point abandons it (bounds the out-of-order set; must comfortably exceed
-// the sender's reorder_threshold and the 64-bit SACK history window).
+// the sender's 3-frame reorder threshold and the 64-bit SACK history window).
 constexpr uint64_t kGiveUpWindow = 256;
 
 }  // namespace

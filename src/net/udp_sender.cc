@@ -17,11 +17,15 @@ namespace {
 // kFinRetries * kFinInterval before the sender reports fin_acked = false.
 constexpr TimeNs kFinInterval = Milliseconds(100);
 constexpr int kFinRetries = 8;
+// A still-outstanding frame is lost once this many frames beyond it have been
+// acknowledged (dup-ACK analogue of the simulator's FIFO gap rule, tolerant
+// of real-network reordering).
+constexpr uint64_t kReorderThreshold = 3;
 
 }  // namespace
 
 UdpSender::UdpSender(std::unique_ptr<CongestionController> cc, UdpSenderConfig config)
-    : cc_(std::move(cc)), config_(config), meter_(config.min_rtt_window) {
+    : cc_(std::move(cc)), config_(config) {
   ASTRAEA_CHECK(config_.mss > kDataHeaderBytes && config_.mss <= kMaxFrameBytes);
   payload_per_frame_ = static_cast<uint16_t>(config_.mss - kDataHeaderBytes);
   if (config_.total_bytes > 0) {
@@ -39,34 +43,18 @@ void UdpSender::RequestStop() {
   }
 }
 
-uint64_t UdpSender::EffectiveCwnd() const {
-  // Same floor as the simulator: never let the controller deadlock the flow.
-  return std::max<uint64_t>(cc_->cwnd_bytes(), 2ULL * config_.mss);
-}
-
-bool UdpSender::WindowOpen() const {
-  return inflight_bytes_ + config_.mss <= EffectiveCwnd();
-}
-
 bool UdpSender::HaveDataToSend() const {
-  return frames_total_ == 0 || next_seq_ < frames_total_;
-}
-
-TimeNs UdpSender::CurrentRto() const {
-  if (meter_.srtt() == 0) {
-    return Seconds(1.0);  // RFC 6298 initial RTO, as in the simulator
-  }
-  return std::max(config_.min_rto, meter_.srtt() + 4 * meter_.rttvar());
+  return frames_total_ == 0 || transport_.next_seq() < frames_total_;
 }
 
 void UdpSender::SendDataFrame(TimeNs now) {
   DataFrame frame;
   frame.flow_id = config_.flow_id;
-  frame.seq = next_seq_;
+  frame.seq = transport_.Send(now);
   frame.send_time = now;
   frame.payload_len = payload_per_frame_;
-  frame.sent_bytes_total = report_.bytes_sent + config_.mss;
-  frame.sent_frames_total = report_.frames_sent + 1;
+  frame.sent_bytes_total = report_.bytes_sent;  // this frame included
+  frame.sent_frames_total = ++report_.frames_sent;
 
   uint8_t buf[kMaxFrameBytes];
   const size_t len = SerializeData(frame, buf, sizeof(buf));
@@ -76,18 +64,11 @@ void UdpSender::SendDataFrame(TimeNs now) {
   // first-hop queue drop, which is exactly what it is.
   ::sendto(socket_.get(), buf, len, 0, reinterpret_cast<const sockaddr*>(&dest_),
            sizeof(dest_));
-
-  ++next_seq_;
-  outstanding_.push_back({frame.seq, now, config_.mss});
-  inflight_bytes_ += config_.mss;
-  report_.bytes_sent += config_.mss;
-  ++report_.frames_sent;
-  meter_.OnPacketSent(config_.mss);
 }
 
 void UdpSender::PumpSends(TimeNs now) {
   const bool paced = cc_->pacing_bps().has_value();
-  while (HaveDataToSend() && WindowOpen()) {
+  while (HaveDataToSend() && transport_.WindowOpen(cc_->cwnd_bytes())) {
     if (paced) {
       if (next_send_time_ > now) {
         ArmTimerAt(pace_timer_.get(), next_send_time_);
@@ -108,67 +89,15 @@ void UdpSender::PumpSends(TimeNs now) {
   DisarmTimer(pace_timer_.get());
 }
 
-void UdpSender::AckOutstanding(std::deque<Outstanding>::iterator it, const AckFrame& ack,
-                               TimeNs now) {
-  const Outstanding pkt = *it;
-  outstanding_.erase(it);
-  ASTRAEA_CHECK(inflight_bytes_ >= pkt.size_bytes);
-  inflight_bytes_ -= pkt.size_bytes;
-  report_.bytes_acked += pkt.size_bytes;
-  ++report_.frames_acked;
-  last_ack_time_ = now;
-  any_acked_ = true;
-  max_acked_seq_ = std::max(max_acked_seq_, pkt.seq);
-
-  TimeNs rtt = std::max<TimeNs>(now - pkt.sent_time, 1);
-  // QUIC-style delayed-ACK correction for the frame the receiver echoed: its
-  // hold time is known exactly. Older frames covered by the same ACK keep
-  // the uncorrected sample (their hold is bounded by ack_delay anyway).
-  if (pkt.seq == ack.ack_seq && ack.ack_delay > 0 && ack.ack_delay < rtt) {
-    rtt -= ack.ack_delay;
-  }
-  meter_.OnPacketAcked(now, rtt, pkt.size_bytes);
-  rtt_samples_ms_.push_back(static_cast<float>(ToMillis(rtt)));
-
-  AckEvent ev;
-  ev.now = now;
-  ev.rtt = rtt;
-  ev.srtt = meter_.srtt();
-  ev.min_rtt = meter_.min_rtt();
-  ev.acked_bytes = pkt.size_bytes;
-  ev.inflight_bytes = inflight_bytes_;
-  ev.delivery_rate_bps = meter_.WindowedDeliveryRate(now);
-  cc_->OnAck(ev);
-}
-
 void UdpSender::DetectSackLosses(TimeNs now) {
-  // A still-outstanding frame is lost once reorder_threshold frames beyond
-  // it have been acknowledged (dup-ACK analogue of the simulator's FIFO gap
-  // rule, tolerant of real-network reordering).
-  if (!any_acked_ || max_acked_seq_ < config_.reorder_threshold) {
+  if (!any_acked_ || max_acked_seq_ < kReorderThreshold) {
     return;
   }
-  const uint64_t horizon = max_acked_seq_ - config_.reorder_threshold;
-  uint64_t lost = 0;
-  while (!outstanding_.empty() && outstanding_.front().seq < horizon) {
-    lost += outstanding_.front().size_bytes;
-    outstanding_.pop_front();
+  if (const std::optional<LossEvent> loss =
+          transport_.WriteOffBefore(now, max_acked_seq_ - kReorderThreshold)) {
+    ++report_.gap_loss_events;
+    cc_->OnLoss(*loss);
   }
-  if (lost == 0) {
-    return;
-  }
-  ASTRAEA_CHECK(inflight_bytes_ >= lost);
-  inflight_bytes_ -= lost;
-  report_.bytes_lost += lost;
-  ++report_.gap_loss_events;
-  meter_.OnBytesLost(lost);
-
-  LossEvent ev;
-  ev.now = now;
-  ev.lost_bytes = lost;
-  ev.is_timeout = false;
-  ev.inflight_bytes = inflight_bytes_;
-  cc_->OnLoss(ev);
 }
 
 void UdpSender::OnAckFrame(const AckFrame& ack, TimeNs now) {
@@ -180,65 +109,52 @@ void UdpSender::OnAckFrame(const AckFrame& ack, TimeNs now) {
   // => ack_seq - 1 - i received). Outstanding is seq-ordered, so the sweep
   // stops at the first sequence past ack_seq; already-resolved frames simply
   // are not in the list (later redundant coverage is a no-op).
-  for (auto it = outstanding_.begin(); it != outstanding_.end();) {
-    const uint64_t seq = it->seq;
-    if (seq > ack.ack_seq) {
-      break;
-    }
-    bool covered = seq == ack.ack_seq;
-    if (!covered && ack.ack_seq - seq - 1 < 64) {
-      covered = (ack.sack_bitmap >> (ack.ack_seq - seq - 1)) & 1;
+  const std::deque<FlowTransport::Outstanding>& outstanding = transport_.outstanding();
+  for (size_t i = 0; i < outstanding.size() && outstanding[i].seq <= ack.ack_seq;) {
+    const FlowTransport::Outstanding pkt = outstanding[i];
+    bool covered = pkt.seq == ack.ack_seq;
+    if (!covered && ack.ack_seq - pkt.seq - 1 < 64) {
+      covered = (ack.sack_bitmap >> (ack.ack_seq - pkt.seq - 1)) & 1;
     }
     if (!covered) {
-      ++it;
+      ++i;
       continue;
     }
-    const size_t idx = static_cast<size_t>(it - outstanding_.begin());
-    AckOutstanding(it, ack, now);
-    it = outstanding_.begin() + static_cast<std::deque<Outstanding>::difference_type>(idx);
+    TimeNs rtt = std::max<TimeNs>(now - pkt.sent_time, 1);
+    // QUIC-style delayed-ACK correction for the frame the receiver echoed:
+    // its hold time is known exactly. Older frames covered by the same ACK
+    // keep the uncorrected sample (their hold is bounded by ack_delay anyway).
+    if (pkt.seq == ack.ack_seq && ack.ack_delay > 0 && ack.ack_delay < rtt) {
+      rtt -= ack.ack_delay;
+    }
+    ++report_.frames_acked;
+    any_acked_ = true;
+    max_acked_seq_ = std::max(max_acked_seq_, pkt.seq);
+    rtt_samples_ms_.push_back(static_cast<float>(ToMillis(rtt)));
+    cc_->OnAck(transport_.Ack(i, now, rtt));
   }
   DetectSackLosses(now);
   PumpSends(now);
-  ArmTimerAt(rto_timer_.get(), last_ack_time_ + CurrentRto());
+  ArmTimerAt(rto_timer_.get(), transport_.RtoDeadline());
 }
 
 void UdpSender::OnRtoCheck(TimeNs now) {
-  if (outstanding_.empty()) {
+  if (transport_.outstanding().empty()) {
     return;
   }
-  if (now - last_ack_time_ < CurrentRto()) {
-    ArmTimerAt(rto_timer_.get(), last_ack_time_ + CurrentRto());
+  if (now < transport_.RtoDeadline()) {
+    ArmTimerAt(rto_timer_.get(), transport_.RtoDeadline());
     return;
   }
-  // Timeout: write off everything outstanding, exactly as the simulator.
-  uint64_t lost = 0;
-  for (const Outstanding& o : outstanding_) {
-    lost += o.size_bytes;
-  }
-  outstanding_.clear();
-  inflight_bytes_ = 0;
-  report_.bytes_lost += lost;
   ++report_.rto_fires;
-  meter_.OnBytesLost(lost);
-
-  LossEvent ev;
-  ev.now = now;
-  ev.lost_bytes = lost;
-  ev.is_timeout = true;
-  ev.inflight_bytes = 0;
-  cc_->OnLoss(ev);
-
-  last_ack_time_ = now;
+  cc_->OnLoss(transport_.WriteOffAll(now));
   PumpSends(now);
-  ArmTimerAt(rto_timer_.get(), last_ack_time_ + CurrentRto());
+  ArmTimerAt(rto_timer_.get(), transport_.RtoDeadline());
 }
 
 void UdpSender::MtpTick(TimeNs now) {
-  const MtpReport mtp_report = meter_.BuildReport(now, config_.mtp, last_ack_time_,
-                                                  inflight_bytes_, outstanding_.size(), *cc_);
-  meter_.ResetInterval();
   ++report_.mtp_ticks;
-  cc_->OnMtpTick(mtp_report);
+  cc_->OnMtpTick(transport_.CloseInterval(now, config_.mtp, *cc_));
   PumpSends(now);  // the controller may have opened the window
   // Fixed cadence (catch up if the loop fell behind a full period).
   next_mtp_time_ += config_.mtp;
@@ -277,12 +193,12 @@ bool UdpSender::Run() {
   }
 
   const TimeNs started = ipc::MonotonicNowNs();
-  last_ack_time_ = started;
+  transport_.Start(started);
   next_send_time_ = started;
   next_mtp_time_ = started + config_.mtp;
   cc_->OnFlowStart(started, config_.mss);
   ArmTimerAt(mtp_timer_.get(), next_mtp_time_);
-  ArmTimerAt(rto_timer_.get(), started + CurrentRto());
+  ArmTimerAt(rto_timer_.get(), transport_.RtoDeadline());
   PumpSends(started);
 
   uint8_t buf[kMaxFrameBytes];
@@ -291,7 +207,7 @@ bool UdpSender::Run() {
     if (config_.max_runtime > 0 && now - started >= config_.max_runtime) {
       break;
     }
-    if (!HaveDataToSend() && outstanding_.empty()) {
+    if (!HaveDataToSend() && transport_.outstanding().empty()) {
       report_.completed = true;
       break;
     }
@@ -342,7 +258,7 @@ bool UdpSender::Run() {
 void UdpSender::RunFinHandshake() {
   FinFrame fin;
   fin.flow_id = config_.flow_id;
-  fin.final_seq = next_seq_;
+  fin.final_seq = transport_.next_seq();
   uint8_t out[kFinFrameBytes];
   const size_t out_len = SerializeFin(fin, /*is_ack=*/false, out, sizeof(out));
   uint8_t in[kMaxFrameBytes];

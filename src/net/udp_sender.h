@@ -1,18 +1,16 @@
 // UDP data-plane sender: drives a CongestionController over a real kernel
-// socket exactly the way the simulator's Sender (src/sim/endpoint.cc) drives
-// it over virtual links — same FlowMeter measurement engine, same
-// OnAck-per-packet / OnLoss / OnMtpTick event contract, same RFC 6298 RTO
-// policy and effective-cwnd floor. See DESIGN.md §13 for the equivalence
-// contract.
+// socket through the same transport core as the simulator's Sender
+// (FlowTransport, src/sim/flow_transport.h): one outstanding window, RTO
+// rule, window floor and loss write-off, and the same AckEvent / LossEvent /
+// MtpReport for the controller. See DESIGN.md §13.3.
 //
 // The event loop is epoll over the socket plus three CLOCK_MONOTONIC
 // timerfds: pacing (armed at next_send_time when pacing_bps() is set), the
-// MTP clock (every SenderConfig-style `mtp`), and the RTO. Loss detection is
-// SACK-driven: the 64-bit bitmap in each ACK marks holes, and a hole is
-// declared lost once `reorder_threshold` higher sequences are acknowledged
-// (real networks reorder, so the simulator's FIFO "any gap is a drop" rule
-// gets a dup-ACK-style threshold). An RTO writes off the whole outstanding
-// window, mirroring the simulator.
+// MTP clock (every `mtp`), and the RTO. Loss detection is SACK-driven: the
+// 64-bit bitmap in each ACK marks holes, and a hole is declared lost once
+// three higher sequences are acknowledged (real networks reorder, so the
+// simulator's FIFO "any gap is a drop" rule gets a dup-ACK-style threshold).
+// An RTO writes off the whole outstanding window, as in the simulator.
 //
 // Data frames are not retransmitted (bulk-transfer model shared with the
 // simulator): a loss is charged to the controller and the transfer completes
@@ -23,7 +21,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +28,7 @@
 #include "src/net/socket_util.h"
 #include "src/net/wire.h"
 #include "src/sim/congestion_controller.h"
-#include "src/sim/flow_meter.h"
+#include "src/sim/flow_transport.h"
 #include "src/util/time.h"
 
 namespace astraea {
@@ -47,20 +44,14 @@ struct UdpSenderConfig {
   // 1200 keeps frames under every sane path MTU (QUIC's choice).
   uint32_t mss = 1200;
   TimeNs mtp = Milliseconds(30);  // Monitoring Time Period (paper Table 4)
-  TimeNs min_rto = Milliseconds(200);
-  TimeNs min_rtt_window = Seconds(60.0);
-  // SACK holes older than this many acknowledged frames are declared lost.
-  uint32_t reorder_threshold = 3;
   // Hard wall-clock stop; 0 = run until the transfer resolves.
   TimeNs max_runtime = Seconds(120.0);
 };
 
-struct UdpSenderReport {
-  // Wire-byte accounting, mirroring sim FlowStats (sent = acked + lost at
-  // completion since inflight drains through the FIN phase).
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_acked = 0;
-  uint64_t bytes_lost = 0;
+// The wire-byte counters (ByteCounters) are the transport core's, as in the
+// simulator's FlowStats: sent = acked + lost at completion, since the window
+// drains before the FIN phase.
+struct UdpSenderReport : ByteCounters {
   uint64_t frames_sent = 0;
   uint64_t frames_acked = 0;
   uint64_t acks_received = 0;
@@ -99,24 +90,14 @@ class UdpSender {
   const UdpSenderReport& report() const { return report_; }
   CongestionController& cc() { return *cc_; }
   const CongestionController& cc() const { return *cc_; }
-  const FlowMeter& meter() const { return meter_; }
+  const FlowMeter& meter() const { return transport_.meter(); }
 
  private:
-  struct Outstanding {
-    uint64_t seq;
-    TimeNs sent_time;
-    uint32_t size_bytes;
-  };
-
-  uint64_t EffectiveCwnd() const;
-  bool WindowOpen() const;
   bool HaveDataToSend() const;
   void PumpSends(TimeNs now);       // paced or window-limited burst
   void SendDataFrame(TimeNs now);
   void OnAckFrame(const AckFrame& ack, TimeNs now);
-  void AckOutstanding(std::deque<Outstanding>::iterator it, const AckFrame& ack, TimeNs now);
   void DetectSackLosses(TimeNs now);
-  TimeNs CurrentRto() const;
   void OnRtoCheck(TimeNs now);
   void MtpTick(TimeNs now);
   void RunFinHandshake();
@@ -135,19 +116,17 @@ class UdpSender {
   sockaddr_in dest_{};
   std::atomic<bool> stop_requested_{false};
 
-  uint64_t next_seq_ = 0;
-  std::deque<Outstanding> outstanding_;  // ordered by seq
-  uint64_t inflight_bytes_ = 0;
+  UdpSenderReport report_;
+  // Outstanding window, byte counters (in report_), RTO rule and the
+  // controller's events: the transport core shared with the simulator.
+  FlowTransport transport_{config_.mss, &report_};
   uint64_t max_acked_seq_ = 0;  // highest seq ever acknowledged
   bool any_acked_ = false;
 
-  FlowMeter meter_;
-  TimeNs last_ack_time_ = 0;
   TimeNs next_send_time_ = 0;
   TimeNs next_mtp_time_ = 0;
 
   std::vector<float> rtt_samples_ms_;
-  UdpSenderReport report_;
 };
 
 }  // namespace net

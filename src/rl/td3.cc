@@ -9,6 +9,13 @@ namespace astraea {
 
 namespace {
 
+// TD3's fixed settings (Fujimoto et al.).
+constexpr float kTau = 0.01f;            // Polyak factor of the target networks
+constexpr int64_t kPolicyDelay = 2;      // critic updates per actor update
+constexpr float kTargetNoiseStd = 0.1f;  // target policy smoothing
+constexpr float kTargetNoiseClip = 0.3f;
+constexpr float kGradClipNorm = 5.0f;    // global-norm gradient clipping
+
 // Scales `grads` in place so its global L2 norm is at most `max_norm`
 // (after dividing by `scale`, the batch size). Returns the pre-clip norm.
 double ClipGradNorm(std::span<float> grads, float max_norm, float scale) {
@@ -57,9 +64,9 @@ Td3Trainer::Td3Trainer(Td3Config config, Rng* rng) : config_(config) {
   target_critic1_->CopyParamsFrom(*critic1_);
   target_critic2_->CopyParamsFrom(*critic2_);
 
-  actor_opt_ = std::make_unique<Adam>(actor_->parameter_count(), config_.actor_lr);
-  critic1_opt_ = std::make_unique<Adam>(critic1_->parameter_count(), config_.critic_lr);
-  critic2_opt_ = std::make_unique<Adam>(critic2_->parameter_count(), config_.critic_lr);
+  actor_opt_ = std::make_unique<Adam>(actor_->parameter_count(), config_.learning_rate);
+  critic1_opt_ = std::make_unique<Adam>(critic1_->parameter_count(), config_.learning_rate);
+  critic2_opt_ = std::make_unique<Adam>(critic2_->parameter_count(), config_.learning_rate);
 }
 
 std::vector<float> Td3Trainer::CriticInput(const std::vector<float>& g,
@@ -124,8 +131,8 @@ Td3Diagnostics Td3Trainer::Update(const ReplaySource& buffer, Rng* rng) {
     float* a = scratch_.next_action.data() + r * adim;
     for (size_t k = 0; k < adim; ++k) {
       const float noise =
-          std::clamp(static_cast<float>(rng->Normal(0.0, config_.target_noise_std)),
-                     -config_.target_noise_clip, config_.target_noise_clip);
+          std::clamp(static_cast<float>(rng->Normal(0.0, kTargetNoiseStd)),
+                     -kTargetNoiseClip, kTargetNoiseClip);
       a[k] = std::clamp(a[k] + noise, -1.0f, 1.0f);
     }
     std::copy(a, a + adim, scratch_.next_in.data() + r * cdim + gdim + sdim);
@@ -162,8 +169,8 @@ Td3Diagnostics Td3Trainer::Update(const ReplaySource& buffer, Rng* rng) {
   }
   critic2_->BackwardBatch(scratch_.dq, B, /*need_input_grad=*/false);
   const float batch_scale = static_cast<float>(B);
-  const double c1_norm = ClipGradNorm(critic1_->grads(), config_.grad_clip_norm, batch_scale);
-  const double c2_norm = ClipGradNorm(critic2_->grads(), config_.grad_clip_norm, batch_scale);
+  const double c1_norm = ClipGradNorm(critic1_->grads(), kGradClipNorm, batch_scale);
+  const double c2_norm = ClipGradNorm(critic2_->grads(), kGradClipNorm, batch_scale);
   critic1_->AdamStep(critic1_opt_.get(), batch_scale);
   critic2_->AdamStep(critic2_opt_.get(), batch_scale);
   diag.critic_loss = (loss1_acc + loss2_acc) / static_cast<double>(B);
@@ -173,7 +180,7 @@ Td3Diagnostics Td3Trainer::Update(const ReplaySource& buffer, Rng* rng) {
   diag.updates = update_count_;
 
   // ---- Delayed actor update + target sync (TD3).
-  if (update_count_ % config_.policy_delay == 0) {
+  if (update_count_ % kPolicyDelay == 0) {
     actor_->ZeroGrad();
     const auto actions = actor_->ForwardBatch(scratch_.local, B);
     for (size_t r = 0; r < B; ++r) {
@@ -198,13 +205,13 @@ Td3Diagnostics Td3Trainer::Update(const ReplaySource& buffer, Rng* rng) {
       }
     }
     actor_->BackwardBatch(scratch_.next_action, B, /*need_input_grad=*/false);
-    diag.actor_grad_norm = ClipGradNorm(actor_->grads(), config_.grad_clip_norm, batch_scale);
+    diag.actor_grad_norm = ClipGradNorm(actor_->grads(), kGradClipNorm, batch_scale);
     actor_->AdamStep(actor_opt_.get(), batch_scale);
     diag.actor_objective = q_acc / static_cast<double>(B);
 
-    target_actor_->PolyakUpdateFrom(*actor_, config_.tau);
-    target_critic1_->PolyakUpdateFrom(*critic1_, config_.tau);
-    target_critic2_->PolyakUpdateFrom(*critic2_, config_.tau);
+    target_actor_->PolyakUpdateFrom(*actor_, kTau);
+    target_critic1_->PolyakUpdateFrom(*critic1_, kTau);
+    target_critic2_->PolyakUpdateFrom(*critic2_, kTau);
   }
   return diag;
 }
@@ -226,8 +233,8 @@ Td3Diagnostics Td3Trainer::UpdateReference(const ReplaySource& buffer, Rng* rng)
     std::vector<float> next_action = target_actor_->Infer(t.next_local_state);
     for (float& a : next_action) {
       const float noise =
-          std::clamp(static_cast<float>(rng->Normal(0.0, config_.target_noise_std)),
-                     -config_.target_noise_clip, config_.target_noise_clip);
+          std::clamp(static_cast<float>(rng->Normal(0.0, kTargetNoiseStd)),
+                     -kTargetNoiseClip, kTargetNoiseClip);
       a = std::clamp(a + noise, -1.0f, 1.0f);
     }
     const std::vector<float> next_in =
@@ -251,8 +258,8 @@ Td3Diagnostics Td3Trainer::UpdateReference(const ReplaySource& buffer, Rng* rng)
     loss_acc += 0.5 * ((q1 - y) * (q1 - y) + (q2 - y) * (q2 - y));
   }
   const float batch_scale = static_cast<float>(config_.batch_size);
-  const double c1_norm = ClipGradNorm(critic1_->grads(), config_.grad_clip_norm, batch_scale);
-  const double c2_norm = ClipGradNorm(critic2_->grads(), config_.grad_clip_norm, batch_scale);
+  const double c1_norm = ClipGradNorm(critic1_->grads(), kGradClipNorm, batch_scale);
+  const double c2_norm = ClipGradNorm(critic2_->grads(), kGradClipNorm, batch_scale);
   critic1_->AdamStep(critic1_opt_.get(), batch_scale);
   critic2_->AdamStep(critic2_opt_.get(), batch_scale);
   diag.critic_loss = loss_acc / config_.batch_size;
@@ -262,7 +269,7 @@ Td3Diagnostics Td3Trainer::UpdateReference(const ReplaySource& buffer, Rng* rng)
   diag.updates = update_count_;
 
   // ---- Delayed actor update + target sync (TD3).
-  if (update_count_ % config_.policy_delay == 0) {
+  if (update_count_ % kPolicyDelay == 0) {
     actor_->ZeroGrad();
     double q_acc = 0.0;
     for (size_t idx : batch) {
@@ -285,13 +292,13 @@ Td3Diagnostics Td3Trainer::UpdateReference(const ReplaySource& buffer, Rng* rng)
       }
       actor_->Backward(dq_da);
     }
-    diag.actor_grad_norm = ClipGradNorm(actor_->grads(), config_.grad_clip_norm, batch_scale);
+    diag.actor_grad_norm = ClipGradNorm(actor_->grads(), kGradClipNorm, batch_scale);
     actor_->AdamStep(actor_opt_.get(), batch_scale);
     diag.actor_objective = q_acc / config_.batch_size;
 
-    target_actor_->PolyakUpdateFrom(*actor_, config_.tau);
-    target_critic1_->PolyakUpdateFrom(*critic1_, config_.tau);
-    target_critic2_->PolyakUpdateFrom(*critic2_, config_.tau);
+    target_actor_->PolyakUpdateFrom(*actor_, kTau);
+    target_critic1_->PolyakUpdateFrom(*critic1_, kTau);
+    target_critic2_->PolyakUpdateFrom(*critic2_, kTau);
   }
   return diag;
 }

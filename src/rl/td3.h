@@ -28,15 +28,9 @@ struct Td3Config {
   int global_state_dim = 0;
   int action_dim = 1;
   std::vector<int> hidden = {256, 128, 64};  // paper §4
-  float actor_lr = 1e-3f;                    // Table 4 (α)
-  float critic_lr = 1e-3f;
+  float learning_rate = 1e-3f;               // Table 4 (α), actor and critics
   float gamma = 0.98f;                       // Table 4 (γ)
-  float tau = 0.01f;                         // Polyak factor
-  int policy_delay = 2;                      // TD3 delayed actor updates
-  float target_noise_std = 0.1f;             // target policy smoothing
-  float target_noise_clip = 0.3f;
   size_t batch_size = 192;                   // Table 4
-  float grad_clip_norm = 5.0f;               // global-norm gradient clipping
 };
 
 struct Td3Diagnostics {

@@ -27,6 +27,9 @@ namespace {
 // epoll_wait and wake-up; an idle server parks this long after its last flush.
 constexpr TimeNs kPollAfterFlush = Microseconds(50);
 
+// How long the accept path may wait for a client's hello message.
+constexpr TimeNs kHandshakeTimeout = Milliseconds(200);
+
 }  // namespace
 
 InferenceServer::InferenceServer(InferenceServerConfig config)
@@ -128,7 +131,7 @@ void InferenceServer::AcceptClients() {
     int fds[2] = {-1, -1};
     size_t nfds = 0;
     const bool got = ipc::RecvWithFds(sock, &hello, sizeof(hello), fds, 2, &nfds,
-                                      config_.handshake_timeout);
+                                      kHandshakeTimeout);
     for (size_t i = 1; i < nfds; ++i) {
       close(fds[i]);  // protocol sends exactly one fd; drop extras
     }

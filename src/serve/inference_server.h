@@ -72,8 +72,6 @@ struct InferenceServerConfig {
   std::string model_path;
   TimeNs batch_window = Microseconds(500);
   size_t max_batch = 64;
-  // How long the accept path may wait for a client's hello message.
-  TimeNs handshake_timeout = Milliseconds(200);
   // Idle park duration per wait (bounded so Stop() is prompt), and how often
   // a server that does not park accepts new clients and reaps dead ones.
   TimeNs idle_wait = Milliseconds(5);

@@ -187,12 +187,11 @@ RequestResult ServeClient::RequestDetailed(std::span<const float> state) {
 
 RemotePolicy::RemotePolicy(std::unique_ptr<ServeClient> client,
                            std::shared_ptr<const Policy> fallback,
-                           std::optional<ReconnectConfig> reconnect)
+                           ReconnectConfig reconnect)
     : client_(std::move(client)),
       fallback_(std::move(fallback)),
       reconnect_(std::move(reconnect)),
-      backoff_(reconnect_ ? reconnect_->backoff : BackoffConfig{},
-               reconnect_ ? reconnect_->seed : 1),
+      backoff_(reconnect_.backoff, reconnect_.seed),
       metrics_(RegisterRemotePolicyMetrics()) {
   RegisterServeMetrics();
 }
@@ -208,9 +207,6 @@ std::shared_ptr<ServeClient> RemotePolicy::HealthyClient() const {
     if (client_ != nullptr && client_->healthy()) {
       return client_;  // shared_ptr copy: safe against a concurrent swap
     }
-    if (!reconnect_) {
-      return client_;  // no healing configured; a dead client fails fast
-    }
     const TimeNs now = ipc::MonotonicNowNs();
     if (now < next_probe_ns_) {
       return nullptr;  // between probes: fallback at zero per-decision cost
@@ -221,7 +217,7 @@ std::shared_ptr<ServeClient> RemotePolicy::HealthyClient() const {
     // instantly instead of queueing on the mutex behind it.
     next_probe_ns_ = now + backoff_.NextDelay();
   }
-  std::unique_ptr<ServeClient> fresh = ServeClient::Connect(reconnect_->client);
+  std::unique_ptr<ServeClient> fresh = ServeClient::Connect(reconnect_.client);
   if (fresh == nullptr) {
     return nullptr;  // schedule already advanced; nothing else to do
   }
@@ -232,7 +228,7 @@ std::shared_ptr<ServeClient> RemotePolicy::HealthyClient() const {
   ++reconnects_;
   metrics_.reconnects_total.Increment();
   ASTRAEA_LOG(Info) << "serve: (re)attached to inference server at "
-                    << reconnect_->client.socket_path << " (attach #" << reconnects_ << ")";
+                    << reconnect_.client.socket_path << " (attach #" << reconnects_ << ")";
   return client_;
 }
 

@@ -129,18 +129,18 @@ struct ReconnectConfig {
   uint64_t seed = 1;  // jitter stream; derive per client to avoid stampedes
 };
 
-// Policy adapter: served inference with graceful local fallback and optional
+// Policy adapter: served inference with graceful local fallback and
 // self-healing reconnection.
 class RemotePolicy : public Policy {
  public:
-  // `client` may be nullptr (e.g. the server was unreachable at startup);
-  // the policy is then a pure pass-through to `fallback`, still counting
-  // each miss in serve.fallback_total. With `reconnect` set, a dead or
-  // absent client is re-established on a jittered backoff probe schedule:
-  // probes are free when no socket exists (immediate connect failure) and
-  // bounded by connect_timeout when a server is half-up.
+  // `client` may be nullptr (e.g. the server was unreachable at startup).
+  // While there is no healthy client every decision comes from `fallback`
+  // and counts in serve.fallback_total, and a new client is connected per
+  // `reconnect` on a jittered backoff probe schedule: probes are free when
+  // no socket exists (immediate connect failure) and bounded by
+  // connect_timeout when a server is half-up.
   RemotePolicy(std::unique_ptr<ServeClient> client, std::shared_ptr<const Policy> fallback,
-               std::optional<ReconnectConfig> reconnect = std::nullopt);
+               ReconnectConfig reconnect);
 
   double Act(const StateView& view) const override;
   std::string name() const override { return "astraea-remote"; }
@@ -158,7 +158,7 @@ class RemotePolicy : public Policy {
   mutable std::mutex mu_;  // guards client_ swaps and the probe schedule
   mutable std::shared_ptr<ServeClient> client_;
   std::shared_ptr<const Policy> fallback_;
-  std::optional<ReconnectConfig> reconnect_;
+  ReconnectConfig reconnect_;
   mutable ExponentialBackoff backoff_;
   mutable TimeNs next_probe_ns_ = 0;  // monotonic; 0 = probe immediately
   mutable uint64_t reconnects_ = 0;

@@ -49,8 +49,7 @@ Sender::Sender(EventQueue* events, PacketPool* pool, int flow_id, Route data_rou
       flow_id_(flow_id),
       route_(std::move(data_route)),
       cc_(std::move(cc)),
-      config_(config),
-      meter_(config.min_rtt_window) {
+      config_(config) {
   ASTRAEA_CHECK(!route_.empty());
   ASTRAEA_CHECK(pool_ != nullptr);
   ASTRAEA_CHECK(cc_ != nullptr);
@@ -65,13 +64,14 @@ void Sender::VerifyInvariants(const char* where, bool deep) const {
   // Conservation: every sent byte is acked, declared lost, or still in
   // flight. Wire/queue drops live in "in flight" until the ACK gap or the
   // RTO writes them off, so this holds at every instant.
-  if (stats_.bytes_sent != stats_.bytes_acked + stats_.bytes_lost + inflight_bytes_) {
+  const uint64_t inflight = transport_.inflight_bytes();
+  if (stats_.bytes_sent != stats_.bytes_acked + stats_.bytes_lost + inflight) {
     invariants::Report("flow.conservation",
                        std::string(where) + " flow " + std::to_string(flow_id_) + ": sent " +
                            std::to_string(stats_.bytes_sent) + " B != acked " +
                            std::to_string(stats_.bytes_acked) + " + lost " +
                            std::to_string(stats_.bytes_lost) + " + inflight " +
-                           std::to_string(inflight_bytes_) + " B");
+                           std::to_string(inflight) + " B");
   }
   // Controllers may legitimately report cwnd 0 before Start() or after a
   // Stop() collapse, so the zero check only applies while the flow transmits.
@@ -90,21 +90,21 @@ void Sender::VerifyInvariants(const char* where, bool deep) const {
   }
   // Note: min_rtt can transiently exceed srtt after the windowed min expires
   // while the EWMA is still converging, so only sign sanity is checked here.
-  if (meter_.srtt() < 0 || meter_.min_rtt() < 0) {
+  if (srtt() < 0 || min_rtt() < 0) {
     invariants::Report("flow.rtt_estimators",
                        std::string(where) + " flow " + std::to_string(flow_id_) + ": srtt " +
-                           std::to_string(meter_.srtt()) + " ns, min_rtt " +
-                           std::to_string(meter_.min_rtt()) + " ns");
+                           std::to_string(srtt()) + " ns, min_rtt " +
+                           std::to_string(min_rtt()) + " ns");
   }
   if (deep) {
     uint64_t recount = 0;
-    for (const Outstanding& o : outstanding_) {
+    for (const FlowTransport::Outstanding& o : transport_.outstanding()) {
       recount += o.size_bytes;
     }
-    if (recount != inflight_bytes_) {
+    if (recount != inflight) {
       invariants::Report("flow.inflight_audit",
                          std::string(where) + " flow " + std::to_string(flow_id_) +
-                             ": inflight counter " + std::to_string(inflight_bytes_) +
+                             ": inflight counter " + std::to_string(inflight) +
                              " B != outstanding-list total " + std::to_string(recount) + " B");
     }
   }
@@ -119,7 +119,7 @@ void Sender::Start() {
   ASTRAEA_CHECK(!running_);
   running_ = true;
   stats_.started_at = events_->now();
-  last_ack_time_ = events_->now();
+  transport_.Start(events_->now());
   cc_->OnFlowStart(events_->now(), config_.mss);
   next_send_time_ = events_->now();
 
@@ -142,18 +142,13 @@ void Sender::Stop() {
   ++mtp_generation_;  // disarm MTP clock; the RTO event finds !running_
 }
 
-uint64_t Sender::EffectiveCwnd() const {
-  // Never let the controller deadlock the flow: at least 2 MSS in flight.
-  return std::max<uint64_t>(cc_->cwnd_bytes(), 2ULL * config_.mss);
-}
-
 bool Sender::BudgetExhausted() const {
   return config_.max_transfer_bytes > 0 && stats_.bytes_sent >= config_.max_transfer_bytes;
 }
 
 void Sender::MaybeComplete() {
   if (config_.max_transfer_bytes == 0 || stats_.completed_at >= 0 || !BudgetExhausted() ||
-      inflight_bytes_ != 0) {
+      transport_.inflight_bytes() != 0) {
     return;
   }
   stats_.completed_at = events_->now();
@@ -161,7 +156,7 @@ void Sender::MaybeComplete() {
 }
 
 void Sender::TrySend() {
-  while (running_ && !BudgetExhausted() && inflight_bytes_ + config_.mss <= EffectiveCwnd()) {
+  while (running_ && !BudgetExhausted() && transport_.WindowOpen(cc_->cwnd_bytes())) {
     SendPacket();
   }
 }
@@ -170,7 +165,7 @@ void Sender::SchedulePacedSend() {
   if (!running_ || pace_pending_ || BudgetExhausted()) {
     return;
   }
-  if (inflight_bytes_ + config_.mss > EffectiveCwnd()) {
+  if (!transport_.WindowOpen(cc_->cwnd_bytes())) {
     return;  // cwnd-limited; resumed by the next ACK/loss/MTP event
   }
   const TimeNs now = events_->now();
@@ -183,7 +178,7 @@ void Sender::SchedulePacedSend() {
     }
     self->pace_pending_ = false;
     if (!self->running_ || self->BudgetExhausted() ||
-        self->inflight_bytes_ + self->config_.mss > self->EffectiveCwnd()) {
+        !self->transport_.WindowOpen(self->cc_->cwnd_bytes())) {
       return;
     }
     self->SendPacket();
@@ -199,7 +194,7 @@ void Sender::SendPacket() {
   const PacketRef ref = pool_->Acquire();
   Packet& pkt = pool_->Get(ref);
   pkt.flow_id = flow_id_;
-  pkt.seq = next_seq_++;
+  pkt.seq = transport_.Send(events_->now());
   pkt.size_bytes = config_.mss;
   pkt.sent_time = events_->now();
   pkt.route = &route_;
@@ -207,80 +202,43 @@ void Sender::SendPacket() {
   // Pool slots recycle; both ECN fields must be re-initialized every send.
   pkt.ecn_capable = cc_->EcnCapable();
   pkt.ecn_ce = false;
-  outstanding_.push_back({pkt.seq, pkt.sent_time, pkt.size_bytes});
-  inflight_bytes_ += pkt.size_bytes;
-  stats_.bytes_sent += pkt.size_bytes;
-  meter_.OnPacketSent(pkt.size_bytes);
   if (tracer_ != nullptr) {
     tracer_->Record(pkt.sent_time, TraceEventType::kSend, flow_id_, -1, pkt.seq,
                     static_cast<double>(pkt.size_bytes),
-                    static_cast<double>(inflight_bytes_));
+                    static_cast<double>(transport_.inflight_bytes()));
   }
   route_[0]->Accept(ref);
-}
-
-void Sender::DetectGapLosses(uint64_t acked_seq) {
-  // FIFO network: every still-outstanding packet older than the ACKed one was
-  // dropped (congestive or wire loss).
-  uint64_t lost = 0;
-  while (!outstanding_.empty() && outstanding_.front().seq < acked_seq) {
-    lost += outstanding_.front().size_bytes;
-    outstanding_.pop_front();
-  }
-  if (lost > 0) {
-    ASTRAEA_CHECK(inflight_bytes_ >= lost);
-    inflight_bytes_ -= lost;
-    stats_.bytes_lost += lost;
-    meter_.OnBytesLost(lost);
-    if (tracer_ != nullptr) {
-      tracer_->Record(events_->now(), TraceEventType::kLoss, flow_id_, -1, acked_seq,
-                      static_cast<double>(lost), static_cast<double>(inflight_bytes_));
-    }
-    LossEvent ev;
-    ev.now = events_->now();
-    ev.lost_bytes = lost;
-    ev.is_timeout = false;
-    ev.inflight_bytes = inflight_bytes_;
-    cc_->OnLoss(ev);
-  }
 }
 
 void Sender::OnAckArrival(uint64_t seq, TimeNs data_sent_time, uint32_t size_bytes,
                           bool ecn_ce) {
   // ACKs arriving after Stop() still update accounting so inflight drains.
   const TimeNs now = events_->now();
-  DetectGapLosses(seq);
-  if (outstanding_.empty() || outstanding_.front().seq != seq) {
+  // FIFO network: every still-outstanding packet older than the ACKed one was
+  // dropped (congestive or wire loss).
+  if (const std::optional<LossEvent> loss = transport_.WriteOffBefore(now, seq)) {
+    if (tracer_ != nullptr) {
+      tracer_->Record(now, TraceEventType::kLoss, flow_id_, -1, seq,
+                      static_cast<double>(loss->lost_bytes),
+                      static_cast<double>(loss->inflight_bytes));
+    }
+    cc_->OnLoss(*loss);
+  }
+  if (transport_.outstanding().empty() || transport_.outstanding().front().seq != seq) {
     MaybeComplete();  // the gap write-off may have resolved the last bytes
     return;           // already written off by an RTO; ignore the late ACK
   }
-  outstanding_.pop_front();
-  ASTRAEA_CHECK(inflight_bytes_ >= size_bytes);
-  inflight_bytes_ -= size_bytes;
-  stats_.bytes_acked += size_bytes;
-  interval_acked_bytes_ += size_bytes;
+  AckEvent ev = transport_.Ack(0, now, now - data_sent_time);
   if (ecn_ce) {
     stats_.bytes_ce_marked += size_bytes;
     interval_ce_bytes_ += size_bytes;
   }
-  last_ack_time_ = now;
-
-  const TimeNs rtt = now - data_sent_time;
-  meter_.OnPacketAcked(now, rtt, size_bytes);
   if (tracer_ != nullptr) {
-    tracer_->Record(now, TraceEventType::kAck, flow_id_, -1, seq, ToMillis(rtt),
-                    static_cast<double>(inflight_bytes_));
+    tracer_->Record(now, TraceEventType::kAck, flow_id_, -1, seq, ToMillis(ev.rtt),
+                    static_cast<double>(ev.inflight_bytes));
   }
 
   if (running_) {
-    AckEvent ev;
-    ev.now = now;
-    ev.rtt = rtt;
-    ev.srtt = meter_.srtt();
-    ev.min_rtt = meter_.min_rtt();
-    ev.acked_bytes = size_bytes;
-    ev.inflight_bytes = inflight_bytes_;
-    ev.delivery_rate_bps = meter_.WindowedDeliveryRate(now);
     ev.ecn_ce = ecn_ce;
     cc_->OnAck(ev);
 
@@ -295,15 +253,6 @@ void Sender::OnAckArrival(uint64_t seq, TimeNs data_sent_time, uint32_t size_byt
   if (invariants::Enabled()) {
     VerifyInvariants("OnAckArrival", ++audit_tick_ % kDeepAuditPeriod == 0);
   }
-}
-
-TimeNs Sender::rto() const {
-  if (meter_.srtt() == 0) {
-    // No RTT sample yet: RFC 6298's conservative initial RTO, so long-RTT
-    // paths (satellite: 800ms) are not written off before the first ACK.
-    return Seconds(1.0);
-  }
-  return std::max(config_.min_rto, meter_.srtt() + 4 * meter_.rttvar());
 }
 
 void Sender::ArmRtoTimer() {
@@ -338,39 +287,25 @@ void Sender::OnRtoCheck() {
   if (!running_) {
     return;  // stopped; Start() arms a new deadline
   }
-  if (events_->now() < rto_deadline_) {
+  const TimeNs now = events_->now();
+  if (now < rto_deadline_) {
     ScheduleRtoEvent();
     return;
   }
-  if (outstanding_.empty()) {
+  if (transport_.outstanding().empty()) {
     return;  // nothing in flight; next send re-arms the timer via its ACK
   }
-  if (events_->now() - last_ack_time_ < rto()) {
+  if (now < transport_.RtoDeadline()) {
     ArmRtoTimer();
     return;
   }
-  // Timeout: write off everything outstanding.
-  uint64_t lost = 0;
-  for (const Outstanding& o : outstanding_) {
-    lost += o.size_bytes;
-  }
-  outstanding_.clear();
-  inflight_bytes_ = 0;
-  stats_.bytes_lost += lost;
-  meter_.OnBytesLost(lost);
+  const LossEvent loss = transport_.WriteOffAll(now);
   if (tracer_ != nullptr) {
-    tracer_->Record(events_->now(), TraceEventType::kRtoFire, flow_id_, -1, next_seq_,
-                    static_cast<double>(lost), ToMillis(rto()));
+    tracer_->Record(now, TraceEventType::kRtoFire, flow_id_, -1, transport_.next_seq(),
+                    static_cast<double>(loss.lost_bytes), ToMillis(rto()));
   }
+  cc_->OnLoss(loss);
 
-  LossEvent ev;
-  ev.now = events_->now();
-  ev.lost_bytes = lost;
-  ev.is_timeout = true;
-  ev.inflight_bytes = 0;
-  cc_->OnLoss(ev);
-
-  last_ack_time_ = events_->now();
   if (cc_->pacing_bps().has_value()) {
     SchedulePacedSend();
   } else {
@@ -386,29 +321,23 @@ void Sender::OnRtoCheck() {
 void Sender::MtpTick() {
   const TimeNs now = events_->now();
 
-  MtpReport report = meter_.BuildReport(now, config_.mtp, last_ack_time_, inflight_bytes_,
-                                        outstanding_.size(), *cc_);
-  // ECN accounting is patched on after BuildReport so the FlowMeter itself
-  // stays identical between the simulator and the real UDP data plane.
-  report.ecn_ce_bytes = interval_ce_bytes_;
-  report.ecn_ce_ratio = interval_acked_bytes_ > 0
-                            ? static_cast<double>(interval_ce_bytes_) /
-                                  static_cast<double>(interval_acked_bytes_)
-                            : 0.0;
-  interval_ce_bytes_ = 0;
-  interval_acked_bytes_ = 0;
-  last_report_ = report;
-
-  stats_.throughput_mbps.Add(now, ToMbps(report.thr_bps));
-  if (meter_.interval_acked_packets() > 0) {
-    stats_.rtt_ms.Add(now, meter_.interval_rtt_sum_ms() /
-                               static_cast<double>(meter_.interval_acked_packets()));
+  // The FlowStats series and the ECN share read the interval before it closes.
+  const FlowMeter& meter = transport_.meter();
+  if (meter.interval_acked_packets() > 0) {
+    stats_.rtt_ms.Add(now, meter.interval_rtt_sum_ms() /
+                               static_cast<double>(meter.interval_acked_packets()));
   }
-  stats_.cwnd_packets.Add(now, static_cast<double>(report.cwnd_bytes) / config_.mss);
-  stats_.sending_mbps.Add(now, ToMbps(static_cast<double>(meter_.interval_sent_bytes()) * 8.0 /
+  stats_.sending_mbps.Add(now, ToMbps(static_cast<double>(meter.interval_sent_bytes()) * 8.0 /
                                       ToSeconds(config_.mtp)));
-
-  meter_.ResetInterval();
+  const double acked_bytes = static_cast<double>(meter.interval_acked_bytes());
+  MtpReport report = transport_.CloseInterval(now, config_.mtp, *cc_);
+  report.ecn_ce_bytes = interval_ce_bytes_;
+  report.ecn_ce_ratio =
+      acked_bytes > 0.0 ? static_cast<double>(interval_ce_bytes_) / acked_bytes : 0.0;
+  interval_ce_bytes_ = 0;
+  last_report_ = report;
+  stats_.throughput_mbps.Add(now, ToMbps(report.thr_bps));
+  stats_.cwnd_packets.Add(now, static_cast<double>(report.cwnd_bytes) / config_.mss);
 
   cc_->OnMtpTick(report);
   if (tracer_ != nullptr) {

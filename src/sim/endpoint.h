@@ -22,14 +22,13 @@
 #ifndef SRC_SIM_ENDPOINT_H_
 #define SRC_SIM_ENDPOINT_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "src/sim/congestion_controller.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/flow_meter.h"
+#include "src/sim/flow_transport.h"
 #include "src/sim/packet.h"
 #include "src/sim/packet_pool.h"
 #include "src/util/stats.h"
@@ -100,31 +99,21 @@ class Receiver : public PacketSink {
 
 struct SenderConfig {
   uint32_t mss = 1500;
-  uint32_t initial_cwnd_packets = 10;
   TimeNs mtp = Milliseconds(30);      // Monitoring Time Period (Table 4)
-  TimeNs min_rto = Milliseconds(200);
   // Request/response transfers (incast): stop emitting new data once this
   // many bytes have been sent, and record FlowStats::completed_at when the
   // last outstanding byte is ACKed or written off. 0 = unlimited bulk
   // transfer (the default; existing scenarios are unaffected).
   uint64_t max_transfer_bytes = 0;
-  // min-RTT is maintained over a sliding window (kernel-style) so routing
-  // changes do not pin a stale floor forever. The window is long (the kernel
-  // uses minutes) because controllers re-anchor it with explicit drain
-  // probes; a short window lets a standing queue corrupt the floor, which
-  // turns delay-based control into a positive feedback loop.
-  TimeNs min_rtt_window = Seconds(60.0);
 };
 
-// Per-flow measurements collected at MTP granularity.
-struct FlowStats {
+// Per-flow measurements collected at MTP granularity, beside the wire-byte
+// counters (ByteCounters) that the flow's FlowTransport keeps.
+struct FlowStats : ByteCounters {
   TimeSeries throughput_mbps;  // ACKed rate per MTP
   TimeSeries rtt_ms;           // mean ACK RTT per MTP (skipped when idle)
   TimeSeries cwnd_packets;
   TimeSeries sending_mbps;     // transmitted rate per MTP
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_acked = 0;
-  uint64_t bytes_lost = 0;
   // ACKed bytes whose data packet carried a CE mark (ECN bottlenecks only).
   uint64_t bytes_ce_marked = 0;
   TimeNs started_at = -1;
@@ -160,18 +149,17 @@ class Sender {
   CongestionController& cc() { return *cc_; }
   const CongestionController& cc() const { return *cc_; }
 
-  uint64_t inflight_bytes() const { return inflight_bytes_; }
-  TimeNs srtt() const { return meter_.srtt(); }
-  TimeNs min_rtt() const { return meter_.min_rtt(); }
+  uint64_t inflight_bytes() const { return transport_.inflight_bytes(); }
+  TimeNs srtt() const { return transport_.meter().srtt(); }
+  TimeNs min_rtt() const { return transport_.meter().min_rtt(); }
   const MtpReport& last_report() const { return last_report_; }
 
   // Liveness handle for scheduled lambdas (ACK delivery, timers): they no-op
   // once the sender is destroyed. Expires in ~Sender().
   SenderHandle handle() const { return self_; }
 
-  // The retransmission timeout an ACK arriving now would arm:
-  // max(min_rto, srtt + 4 * rttvar), or 1 s before the first RTT sample.
-  TimeNs rto() const;
+  // The retransmission timeout an ACK arriving now would arm (FlowTransport::Rto).
+  TimeNs rto() const { return transport_.Rto(); }
 
   // Attaches an event tracer recording send/ack/loss/rto-fire/cwnd for this
   // flow, and forwards it to the controller (kAction decisions). Null detaches.
@@ -185,13 +173,6 @@ class Sender {
   void VerifyInvariants(const char* where, bool deep) const;
 
  private:
-  struct Outstanding {
-    uint64_t seq;
-    TimeNs sent_time;
-    uint32_t size_bytes;
-  };
-
-  uint64_t EffectiveCwnd() const;
   // Budgeted transfers: true once max_transfer_bytes have been emitted.
   bool BudgetExhausted() const;
   // Budgeted transfers: records completed_at (once) when every sent byte has
@@ -200,7 +181,6 @@ class Sender {
   void TrySend();                    // ACK-clocked burst send
   void SchedulePacedSend();          // paced send loop
   void SendPacket();
-  void DetectGapLosses(uint64_t acked_seq);
   // Moves the RTO deadline to now + rto() (see the file comment).
   void ArmRtoTimer();
   void ScheduleRtoEvent();
@@ -219,19 +199,14 @@ class Sender {
   SenderHandle self_{this};  // see handle()
 
   bool running_ = false;
-  uint64_t next_seq_ = 0;
-  std::deque<Outstanding> outstanding_;
-  uint64_t inflight_bytes_ = 0;
 
-  // RTT estimators, delivery-rate window and per-MTP accumulators — the
-  // measurement engine shared with the real UDP data plane (src/net).
-  FlowMeter meter_;
-  // ECN interval accumulators live beside the meter (not inside it) so the
-  // FlowMeter stays bit-equivalent with the real UDP data plane, which has
-  // no ECN feedback channel.
+  FlowStats stats_;
+  // Outstanding window, byte counters (in stats_), RTO rule and the
+  // controller's events: the transport core shared with the UDP data plane.
+  FlowTransport transport_{config_.mss, &stats_};
+  // CE-marked ACKed bytes this MTP. ECN stays beside the transport core: the
+  // UDP data plane has no ECN feedback channel.
   uint64_t interval_ce_bytes_ = 0;
-  uint64_t interval_acked_bytes_ = 0;
-  TimeNs last_ack_time_ = 0;
 
   // RTO: the deadline the last arm set, the sequence number it reserved, and
   // the one pending event (if any), which fires at or before the deadline.
@@ -250,8 +225,6 @@ class Sender {
 
   uint64_t mtp_generation_ = 0;
   MtpReport last_report_;
-
-  FlowStats stats_;
 };
 
 }  // namespace astraea

@@ -3,13 +3,9 @@
 // windowed min-RTT floor, a BBR-style windowed delivery-rate estimate, and
 // the per-MTP accumulators (acked/sent/lost bytes, RTT sum).
 //
-// It is deliberately transport-agnostic: the discrete-event Sender
-// (src/sim/endpoint.cc) drives it with virtual timestamps and the real UDP
-// data plane (src/net/udp_sender.cc) drives it with CLOCK_MONOTONIC ones.
-// Keeping both planes on this one implementation is the sim-vs-real
-// equivalence contract (DESIGN.md §13): a controller cannot tell which plane
-// produced its reports, so behavior validated in simulation transfers to real
-// sockets modulo the physics the simulator abstracts away.
+// It is the measuring half of FlowTransport (src/sim/flow_transport.h), the
+// transport core that both data planes run: the discrete-event Sender feeds
+// it virtual timestamps and the real UDP sender CLOCK_MONOTONIC ones.
 
 #ifndef SRC_SIM_FLOW_METER_H_
 #define SRC_SIM_FLOW_METER_H_
@@ -26,7 +22,14 @@ namespace astraea {
 
 class FlowMeter {
  public:
-  explicit FlowMeter(TimeNs min_rtt_window) : min_rtt_filter_(min_rtt_window) {}
+  // min-RTT is a minimum over a sliding window (kernel-style) so routing
+  // changes do not pin a stale floor forever. The window is long (the kernel
+  // uses minutes) because controllers re-anchor it with explicit drain
+  // probes; a short window lets a standing queue corrupt the floor, which
+  // turns delay-based control into a positive feedback loop.
+  static constexpr TimeNs kMinRttWindow = Seconds(60.0);
+
+  FlowMeter() : min_rtt_filter_(kMinRttWindow) {}
 
   // One ACKed data packet: updates the RTT estimators, the delivery-rate
   // window and the per-interval accumulators.
@@ -129,7 +132,7 @@ class FlowMeter {
  private:
   TimeNs srtt_ = 0;
   TimeNs rttvar_ = 0;
-  TimeNs min_rtt_ = 0;  // windowed floor (SenderConfig::min_rtt_window)
+  TimeNs min_rtt_ = 0;  // windowed floor (kMinRttWindow)
   WindowedMin<TimeNs> min_rtt_filter_;
 
   std::deque<std::pair<TimeNs, uint64_t>> delivered_window_;

@@ -17,6 +17,11 @@ namespace {
 constexpr uint32_t kVectorizedStateMagic = 0x41'53'54'56;  // "ASTV"
 constexpr uint32_t kVectorizedStateVersion = 1;
 
+// Exploration noise std: decays linearly from the first to the last value
+// over the decay horizon.
+constexpr double kExplorationNoise = 0.15;
+constexpr double kExplorationNoiseFinal = 0.03;
+
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -60,8 +65,7 @@ VectorizedTrainer::VectorizedTrainer(VectorizedTrainerConfig config)
   td3.local_state_dim = LocalStateDim(config_.hp);
   td3.global_state_dim = kGlobalFeatures;
   td3.action_dim = 1;
-  td3.actor_lr = static_cast<float>(config_.hp.learning_rate);
-  td3.critic_lr = static_cast<float>(config_.hp.learning_rate);
+  td3.learning_rate = static_cast<float>(config_.hp.learning_rate);
   td3.gamma = static_cast<float>(config_.hp.gamma);
   td3.batch_size = static_cast<size_t>(config_.hp.batch_size);
   trainer_ = std::make_unique<Td3Trainer>(td3, &learner_rng_);
@@ -86,8 +90,7 @@ double VectorizedTrainer::NoiseForEpisode(int global_episode) const {
       decay_horizon_ > 1
           ? std::min(1.0, static_cast<double>(global_episode) / (decay_horizon_ - 1))
           : 1.0;
-  return config_.exploration_noise +
-         frac * (config_.exploration_noise_final - config_.exploration_noise);
+  return kExplorationNoise + frac * (kExplorationNoiseFinal - kExplorationNoise);
 }
 
 void VectorizedTrainer::Train(

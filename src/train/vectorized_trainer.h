@@ -42,8 +42,6 @@ struct VectorizedTrainerConfig {
   DomainRanges domain;  // DomainRanges::TableThree() or ::Extended()
   size_t replay_capacity = 200'000;
   size_t replay_shards = 8;
-  double exploration_noise = 0.15;
-  double exploration_noise_final = 0.03;
   TimeNs episode_length = Seconds(30.0);
   int num_envs = 4;     // parallel actors (paper Appendix A uses 4)
   size_t workers = 1;   // threads; results are identical for any value

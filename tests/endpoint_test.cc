@@ -146,7 +146,7 @@ TEST(SenderTest, RtoFiresWhenEverythingIsLost) {
 // feature row no real network produces. A stalled interval must be marked and
 // its avg_rtt must grow with the silence.
 TEST(FlowMeterTest, ZeroAckIntervalIsStalledWithLowerBoundRtt) {
-  FlowMeter meter(Seconds(60.0));
+  FlowMeter meter;
   FixedWindow cc(10 * 1500);
 
   // One healthy interval first: srtt converges to 20ms.
@@ -175,6 +175,113 @@ TEST(FlowMeterTest, ZeroAckIntervalIsStalledWithLowerBoundRtt) {
                                              Milliseconds(10), 1500, 1, cc);
   EXPECT_TRUE(deeper.stalled);
   EXPECT_GT(deeper.avg_rtt, stalled.avg_rtt);
+}
+
+// The transport core both data planes run, driven on its own: no simulator,
+// no socket. Every sent byte stays acked, lost or in flight, and the
+// controller's events carry the core's counters.
+TEST(FlowTransportTest, ConservesBytesThroughAckPrefixAndRtoWriteOffs) {
+  ByteCounters bytes;
+  FlowTransport t(1000, &bytes);
+  const auto conserved = [&] {
+    return bytes.bytes_sent == bytes.bytes_acked + bytes.bytes_lost + t.inflight_bytes();
+  };
+  t.Start(0);
+  for (uint64_t seq = 0; seq < 6; ++seq) {
+    EXPECT_EQ(t.Send(Milliseconds(static_cast<int64_t>(seq))), seq);
+    EXPECT_TRUE(conserved());
+  }
+  EXPECT_EQ(bytes.bytes_sent, 6000u);
+  EXPECT_EQ(t.inflight_bytes(), 6000u);
+
+  // Nothing below seq 0: no write-off, no event.
+  EXPECT_FALSE(t.WriteOffBefore(Milliseconds(50), 0).has_value());
+
+  // Proof that seqs 0 and 1 were dropped.
+  const std::optional<LossEvent> gap = t.WriteOffBefore(Milliseconds(50), 2);
+  ASSERT_TRUE(gap.has_value());
+  EXPECT_EQ(gap->now, Milliseconds(50));
+  EXPECT_EQ(gap->lost_bytes, 2000u);
+  EXPECT_FALSE(gap->is_timeout);
+  EXPECT_EQ(gap->inflight_bytes, 4000u);
+  EXPECT_EQ(bytes.bytes_lost, 2000u);
+  EXPECT_TRUE(conserved());
+
+  // Seq 2 (sent at 2 ms) is ACKed at 50 ms: the first RTT sample.
+  const AckEvent first = t.Ack(0, Milliseconds(50), Milliseconds(48));
+  EXPECT_EQ(first.now, Milliseconds(50));
+  EXPECT_EQ(first.rtt, Milliseconds(48));
+  EXPECT_EQ(first.srtt, Milliseconds(48));
+  EXPECT_EQ(first.min_rtt, Milliseconds(48));
+  EXPECT_EQ(first.acked_bytes, 1000u);
+  EXPECT_EQ(first.inflight_bytes, 3000u);
+  EXPECT_EQ(first.delivery_rate_bps, 0.0);  // one delivery spans no time yet
+  EXPECT_FALSE(first.ecn_ce);
+  EXPECT_TRUE(conserved());
+
+  // Seq 4 out of order (index 1 of 3, 4, 5), ACKed at 60 ms.
+  ASSERT_EQ(t.outstanding()[1].seq, 4u);
+  const AckEvent second = t.Ack(1, Milliseconds(60), Milliseconds(56));
+  EXPECT_EQ(second.srtt, Milliseconds(49));  // (7 * 48 + 56) / 8
+  EXPECT_EQ(second.min_rtt, Milliseconds(48));
+  EXPECT_EQ(second.inflight_bytes, 2000u);
+  EXPECT_DOUBLE_EQ(second.delivery_rate_bps, 2000 * 8 / 0.010);
+  EXPECT_EQ(bytes.bytes_acked, 2000u);
+  EXPECT_TRUE(conserved());
+
+  // No ACK for an RTO (rttvar 20 ms: 49 + 80 ms, floored at 200 ms): the
+  // whole window (seqs 3 and 5) is written off and the ACK clock restarts.
+  EXPECT_EQ(t.RtoDeadline(), Milliseconds(260));
+  const LossEvent rto = t.WriteOffAll(Milliseconds(260));
+  EXPECT_EQ(rto.now, Milliseconds(260));
+  EXPECT_EQ(rto.lost_bytes, 2000u);
+  EXPECT_TRUE(rto.is_timeout);
+  EXPECT_EQ(rto.inflight_bytes, 0u);
+  EXPECT_TRUE(t.outstanding().empty());
+  EXPECT_EQ(bytes.bytes_lost, 4000u);
+  EXPECT_EQ(t.RtoDeadline(), Milliseconds(460));
+  EXPECT_TRUE(conserved());
+
+  // The MTP report sees the same interval, and closing it starts the next.
+  const MtpReport report = t.CloseInterval(Milliseconds(270), Milliseconds(30), FixedWindow(0));
+  EXPECT_EQ(report.acked_packets, 2u);
+  EXPECT_EQ(report.inflight_bytes, 0u);
+  EXPECT_DOUBLE_EQ(report.loss_ratio, 4000.0 / 6000.0);
+  EXPECT_EQ(t.CloseInterval(Milliseconds(300), Milliseconds(30), FixedWindow(0)).acked_packets,
+            0u);
+}
+
+TEST(FlowTransportTest, RtoIsOneSecondBeforeTheFirstSampleThenFlooredAt200Ms) {
+  ByteCounters bytes;
+  FlowTransport short_path(1500, &bytes);
+  short_path.Start(Milliseconds(5));
+  EXPECT_EQ(short_path.Rto(), Seconds(1.0));
+  EXPECT_EQ(short_path.RtoDeadline(), Milliseconds(5) + Seconds(1.0));
+  short_path.Send(Milliseconds(10));
+  // srtt 10 ms, rttvar 5 ms: 30 ms, floored.
+  short_path.Ack(0, Milliseconds(20), Milliseconds(10));
+  EXPECT_EQ(short_path.Rto(), Milliseconds(200));
+  EXPECT_EQ(short_path.RtoDeadline(), Milliseconds(220));
+
+  ByteCounters long_bytes;
+  FlowTransport long_path(1500, &long_bytes);
+  long_path.Send(0);
+  // srtt 100 ms, rttvar 50 ms: 300 ms, above the floor.
+  long_path.Ack(0, Milliseconds(100), Milliseconds(100));
+  EXPECT_EQ(long_path.Rto(), Milliseconds(300));
+}
+
+TEST(FlowTransportTest, WindowNeverFallsBelowTwoSegments) {
+  ByteCounters bytes;
+  FlowTransport t(1500, &bytes);
+  int sent = 0;
+  for (; sent < 10 && t.WindowOpen(/*cwnd_bytes=*/0); ++sent) {
+    t.Send(0);
+  }
+  EXPECT_EQ(sent, 2);
+  EXPECT_FALSE(t.WindowOpen(3000));
+  EXPECT_TRUE(t.WindowOpen(4500));
+  EXPECT_EQ(bytes.bytes_sent, bytes.bytes_acked + bytes.bytes_lost + t.inflight_bytes());
 }
 
 TEST(SenderTest, BlackHoleProducesStalledReports) {
@@ -320,7 +427,7 @@ TEST(SenderTest, RtoFiresAtLastAckPlusTheRtoOfThatAck) {
   rig.path.drop = true;
   rig.events.RunUntil(Seconds(2.2));
   EXPECT_TRUE(rig.probe->deadline_moved_earlier);
-  EXPECT_GT(rig.probe->last_rto, SenderConfig{}.min_rto);
+  EXPECT_GT(rig.probe->last_rto, FlowTransport::kMinRto);
   const TimeNs deadline = rig.probe->last_deadline;
   rig.events.RunUntil(Seconds(3.0));
   ASSERT_FALSE(rig.probe->timeouts.empty());

@@ -408,12 +408,15 @@ TEST(ServeTest, ServerCrashMidBatchDegradesEveryClient) {
   EXPECT_EQ(answered.load(), 0) << "no response should have been produced";
 
   // After the crash is observed (socket EOF), clients fail fast and a
-  // RemotePolicy built on one routes every decision to the fallback.
+  // RemotePolicy built on one routes every decision to the fallback: its
+  // reconnect probe finds no server behind the dead one's socket.
   for (auto& client : clients) {
     EXPECT_FALSE(client->Request(std::vector<float>(kDim, 0.3f)).has_value());
     EXPECT_FALSE(client->healthy());
   }
-  RemotePolicy policy(std::move(clients[0]), std::make_shared<ConstantPolicy>(-0.5));
+  ReconnectConfig reconnect;
+  reconnect.client.socket_path = socket_path;
+  RemotePolicy policy(std::move(clients[0]), std::make_shared<ConstantPolicy>(-0.5), reconnect);
   const std::vector<float> state(kDim, 0.2f);
   StateView view;
   view.state_vector = state;
