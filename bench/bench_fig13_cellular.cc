@@ -5,38 +5,26 @@
 //
 // Substitution note (DESIGN.md): the Verizon LTE trace is replaced by a
 // synthetic LTE-like trace with the same qualitative dynamics. Pass
-// --trace[=PATH] to replay a Mahimahi capture instead (default: the bundled
+// --trace PATH to replay a Mahimahi capture instead (the bundled one is
 // traces/cellular.trace).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
 #include "src/eval/window_metrics.h"
-
-#ifndef ASTRAEA_SOURCE_DIR
-#define ASTRAEA_SOURCE_DIR "."
-#endif
+#include "src/util/cli_flags.h"
 
 namespace astraea {
 namespace {
 
 int Main(int argc, char** argv) {
-  const bool quick = QuickMode(argc, argv);
+  std::string trace_path;
+  const bool quick = QuickMode(argc, argv, cli::FlagSet().String("--trace", &trace_path));
   const TimeNs until = Seconds(quick ? 25.0 : 60.0);
   const int reps = BenchReps(2);
 
-  // --trace[=PATH]: replay a Mahimahi capture instead of the synthetic trace.
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = std::string(ASTRAEA_SOURCE_DIR) + "/traces/cellular.trace";
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    }
-  }
   auto cell_trace = [&](TimeNs duration, uint64_t seed) {
     if (!trace_path.empty()) {
       return std::make_shared<RateTrace>(LoadMahimahiTrace(trace_path));

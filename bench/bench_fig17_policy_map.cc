@@ -12,6 +12,7 @@
 
 #include "src/core/policy.h"
 #include "src/eval/table.h"
+#include "src/util/cli_flags.h"
 
 namespace astraea {
 namespace {
@@ -61,7 +62,8 @@ void PrintMap(const Policy& policy) {
   }
 }
 
-int Main(int, char**) {
+int Main(int argc, char** argv) {
+  cli::FlagSet().Parse(argc, argv);  // takes no argument
   PrintBenchHeader("Figure 17", "Astraea's learned state -> action mapping");
   DistilledPolicy distilled;
   PrintMap(distilled);

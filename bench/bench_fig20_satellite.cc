@@ -1,21 +1,17 @@
 // Figure 20 (Appendix B.2) — unreliable satellite link: 42 Mbps, 800 ms RTT,
 // 1 BDP buffer, 0.74% stochastic loss. Loss-sensitive schemes collapse;
 // loss-resilient ones keep throughput; delay-based ones keep delay.
-// Pass --trace[=PATH] to replay a Mahimahi capture of the link's service
-// rate (default: the bundled traces/satellite.trace with rain-fade dips)
-// instead of the constant 42 Mbps.
+// Pass --trace PATH to replay a Mahimahi capture of the link's service rate
+// (the bundled one is traces/satellite.trace, with rain-fade dips) instead of
+// the constant 42 Mbps.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
 #include "src/eval/window_metrics.h"
-
-#ifndef ASTRAEA_SOURCE_DIR
-#define ASTRAEA_SOURCE_DIR "."
-#endif
+#include "src/util/cli_flags.h"
 
 namespace astraea {
 namespace {
@@ -23,18 +19,11 @@ namespace {
 int Main(int argc, char** argv) {
   PrintBenchHeader("Figure 20",
                    "Satellite link: 42 Mbps, 800 ms RTT, 1 BDP, 0.74% random loss");
-  const bool quick = QuickMode(argc, argv);
+  std::string trace_path;
+  const bool quick = QuickMode(argc, argv, cli::FlagSet().String("--trace", &trace_path));
   const TimeNs until = Seconds(quick ? 50.0 : 100.0);
   const int reps = BenchReps(2);
 
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = std::string(ASTRAEA_SOURCE_DIR) + "/traces/satellite.trace";
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    }
-  }
   std::shared_ptr<RateTrace> trace;
   if (!trace_path.empty()) {
     trace = std::make_shared<RateTrace>(LoadMahimahiTrace(trace_path));

@@ -6,12 +6,14 @@
 
 #include "src/core/reward.h"
 #include "src/eval/table.h"
+#include "src/util/cli_flags.h"
 #include "src/util/stats.h"
 
 namespace astraea {
 namespace {
 
-int Main(int, char**) {
+int Main(int argc, char** argv) {
+  cli::FlagSet().Parse(argc, argv);  // takes no argument
   PrintBenchHeader("Figure 4",
                    "Jain index vs (1 - R_fair) as the throughput gap of two flows sharing "
                    "100 Mbps varies");

@@ -221,6 +221,9 @@ int Main(int argc, char** argv) {
   WriteFile(cli_dir / "nan.txt", "nan");
   WriteFile(cli_dir / "huge.txt", "1e308s");
   WriteFile(cli_dir / "garbage.txt", "12monkeys");
+  // A command line for FlagSet::TryParse: every binding, a repeat, a
+  // positional and a trailing flag with no value.
+  WriteFile(cli_dir / "argv.txt", "--on --i 5 --u 7 --d 0.5 --t 5ms --s x run.trace --i -3 --t");
   return 0;
 }
 

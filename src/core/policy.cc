@@ -2,11 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 
+#include "src/util/checkpoint.h"
 #include "src/util/logging.h"
+#include "src/util/serialization.h"
 
 namespace astraea {
+namespace {
+
+// The checkpoint "astraea" runs: `path`, else ASTRAEA_MODEL; "" means the
+// distilled policy.
+std::string SelectedModel(const std::string& path) {
+  const char* env = std::getenv("ASTRAEA_MODEL");
+  return !path.empty() ? path : env != nullptr ? env : "";
+}
+
+}  // namespace
 
 std::shared_ptr<MlpPolicy> MlpPolicy::LoadFromFile(const std::string& path) {
   return std::make_shared<MlpPolicy>(LoadActorFile(path));
@@ -63,14 +78,28 @@ double DistilledPolicy::Act(const StateView& view) const {
 }
 
 std::shared_ptr<const Policy> LoadDefaultPolicy(const std::string& path) {
-  const char* env = std::getenv("ASTRAEA_MODEL");
-  const std::string model = !path.empty() ? path : env != nullptr ? env : "";
+  const std::string model = SelectedModel(path);
   if (model.empty()) {
     return std::make_shared<DistilledPolicy>();
   }
   auto policy = MlpPolicy::LoadFromFile(model);
   ASTRAEA_LOG(Info) << "loaded Astraea policy checkpoint: " << model;
   return policy;
+}
+
+std::string PolicyIdentity(const std::string& path) {
+  const std::string model = SelectedModel(path);
+  if (model.empty()) {
+    return "distilled";
+  }
+  std::ifstream in(model, std::ios::binary);
+  if (!in) {
+    throw SerializationError("cannot open for reading: " + model);
+  }
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32(bytes.data(), bytes.size()));
+  return model + " crc32=" + crc;
 }
 
 uint64_t ApplyActionToCwnd(uint64_t cwnd_bytes, double action, double alpha, uint32_t mss) {

@@ -92,6 +92,12 @@ class DistilledPolicy : public Policy {
 // substituted); with neither, the distilled policy.
 std::shared_ptr<const Policy> LoadDefaultPolicy(const std::string& path = "");
 
+// Which policy LoadDefaultPolicy(path) runs, by the same rule: "distilled",
+// or "<checkpoint path> crc32=<CRC32 of the file's bytes, %08x>" (the form
+// perfbench records). A checkpoint that cannot be read throws
+// SerializationError naming it.
+std::string PolicyIdentity(const std::string& path = "");
+
 // Eq. 3: multiplicative cwnd update under action a in [-1, 1].
 uint64_t ApplyActionToCwnd(uint64_t cwnd_bytes, double action, double alpha, uint32_t mss);
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "src/core/policy.h"
 #include "src/eval/table.h"
 #include "src/nn/mlp.h"
 #include "src/util/cli_flags.h"
@@ -44,21 +45,23 @@ BenchRecord::BenchRecord(std::string bench, int argc, char** argv,
                          const std::vector<std::string>& switches,
                          const std::vector<std::string>& options)
     : bench_(std::move(bench)) {
-  const auto listed = [](const std::vector<std::string>& flags, const std::string& arg) {
-    return std::find(flags.begin(), flags.end(), arg) != flags.end();
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick_ = true;
-    } else if (listed(switches, arg)) {
-      given_[arg] = "";
-    } else if ((arg == "--out" || listed(options, arg)) && i + 1 < argc) {
-      given_[arg] = argv[++i];
-    } else {
-      std::fprintf(stderr, "%s: unknown argument or missing value: %s\n", argv[0], arg.c_str());
-      args_ok_ = false;
-    }
+  cli::FlagSet flags;
+  flags.Switch("--quick", &quick_);
+  for (const std::string& flag : switches) {
+    flags.Switch(flag, &switches_[flag]);
+  }
+  std::vector<std::string> valued = options;
+  valued.push_back("--out");
+  for (const std::string& option : valued) {
+    flags.Value(option, [this, option](const char* value, std::string*) {
+      given_[option] = value;
+      return true;
+    });
+  }
+  std::string error;
+  if (!flags.TryParse(argc, argv, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    args_ok_ = false;
   }
   provenance_ = {
       {"build_type", ASTRAEA_BUILD_TYPE},
@@ -66,8 +69,14 @@ BenchRecord::BenchRecord(std::string bench, int argc, char** argv,
       {"cxx_flags", ASTRAEA_CXX_FLAGS},
       {"host_cores", std::to_string(std::thread::hardware_concurrency())},
       {"nn_kernels", BatchedKernelVariant()},
+      {"policy", PolicyIdentity()},
       {"quick", quick_ ? "true" : "false"},
   };
+}
+
+bool BenchRecord::Has(const std::string& flag) const {
+  const auto it = switches_.find(flag);
+  return it != switches_.end() && it->second;
 }
 
 std::string BenchRecord::Value(const std::string& option, const std::string& fallback) const {

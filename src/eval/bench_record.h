@@ -17,8 +17,9 @@ class BenchRecord {
  public:
   // Reads --quick, --out PATH (default BENCH_<bench>.json in the working
   // directory), the bench's own `switches` (such as "--real") and its
-  // `options` that take a value (such as "--traces"). Any other argument, or
-  // an option without its value, is named on stderr and clears args_ok().
+  // `options` that take a value (such as "--traces") through
+  // cli::FlagSet::TryParse. An unknown argument, or an option without its
+  // value, is named on stderr and clears args_ok().
   BenchRecord(std::string bench, int argc, char** argv,
               const std::vector<std::string>& switches = {},
               const std::vector<std::string>& options = {});
@@ -26,7 +27,7 @@ class BenchRecord {
   bool args_ok() const { return args_ok_; }
   bool quick() const { return quick_; }
   // Whether the switch `flag` was given.
-  bool Has(const std::string& flag) const { return given_.count(flag) > 0; }
+  bool Has(const std::string& flag) const;
   // The value given for `option`, or `fallback` when it was not given.
   std::string Value(const std::string& option, const std::string& fallback) const;
 
@@ -38,7 +39,8 @@ class BenchRecord {
   // Prints the metrics as a metric / value / unit table.
   void PrintMetrics() const;
   // Where the numbers came from, in perfbench's key names: build_type,
-  // compiler, cxx_flags, host_cores and quick, plus nn_kernels, the
+  // compiler, cxx_flags, host_cores, policy (PolicyIdentity(): "distilled"
+  // or the checkpoint's path and CRC32) and quick, plus nn_kernels, the
   // instruction-set variant the batched NN kernels selected.
   const std::map<std::string, std::string>& provenance() const { return provenance_; }
 
@@ -66,7 +68,8 @@ class BenchRecord {
   std::string bench_;
   bool args_ok_ = true;
   bool quick_ = false;
-  std::map<std::string, std::string> given_;
+  std::map<std::string, bool> switches_;      // each declared switch: given?
+  std::map<std::string, std::string> given_;  // each option given: its value
   std::map<std::string, std::string> provenance_;
   std::vector<CheckResult> checks_;
   std::vector<MetricValue> metrics_;

@@ -31,6 +31,12 @@ DumbbellConfig BuildDumbbellConfig(const ScenarioCliOptions& opts) {
   std::exit(1);
 }
 
+void AddPolicyFlags(cli::FlagSet* flags, PolicyCliOptions* opts) {
+  flags->String("--model", &opts->model)
+      .String("--serve-socket", &opts->serve_socket)
+      .PositiveDuration("--rpc-timeout", Seconds(60.0), &opts->rpc_timeout);
+}
+
 std::shared_ptr<const Policy> MakeCliPolicy(const PolicyCliOptions& opts) {
   std::shared_ptr<const Policy> local;
   try {
@@ -42,8 +48,7 @@ std::shared_ptr<const Policy> MakeCliPolicy(const PolicyCliOptions& opts) {
   if (opts.serve_socket.empty()) {
     return local;
   }
-  return serve::MakeServedPolicy(opts.serve_socket, opts.rpc_timeout, std::move(local),
-                                 opts.connect_timeout);
+  return serve::MakeServedPolicy(opts.serve_socket, opts.rpc_timeout, std::move(local));
 }
 
 }  // namespace astraea

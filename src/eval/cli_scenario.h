@@ -1,13 +1,12 @@
 // Scenario- and policy-construction helpers shared by the CLI tools
-// (run_scenario, astraea_eval, golden_trace, astraea_net). Previously each
-// tool hand-rolled its own DumbbellConfig assembly (AQM factory, buffer
-// sizing, trace loading) and its own policy resolution; centralizing both
-// here means a new capability — like serving inference from an
-// out-of-process `astraea_serve` via --serve-socket — lands in every tool at
-// once.
+// (run_scenario, astraea_eval, golden_trace, astraea_net): one DumbbellConfig
+// assembly (AQM factory, buffer sizing, trace loading), and one set of policy
+// flags with one policy resolution, so a capability such as serving
+// inference from an out-of-process `astraea_serve` via --serve-socket lands
+// in every tool at once.
 //
 // These helpers follow the cli_flags.h contract: invalid user input prints
-// one clear line and exits. CLI-only by design.
+// one clear line and exits 1. CLI-only by design.
 
 #ifndef SRC_EVAL_CLI_SCENARIO_H_
 #define SRC_EVAL_CLI_SCENARIO_H_
@@ -17,6 +16,7 @@
 
 #include "src/core/policy.h"
 #include "src/eval/scenario.h"
+#include "src/util/cli_flags.h"
 #include "src/util/time.h"
 
 namespace astraea {
@@ -43,8 +43,11 @@ struct PolicyCliOptions {
   std::string model;         // checkpoint path; "" = ASTRAEA_MODEL, else distilled
   std::string serve_socket;  // when set, serve decisions from astraea_serve
   TimeNs rpc_timeout = Milliseconds(20);
-  TimeNs connect_timeout = Milliseconds(500);  // handshake/reconnect-probe bound
 };
+
+// Binds the policy flags to `opts`: --model PATH, --serve-socket PATH and
+// --rpc-timeout DURATION (at most 60 s).
+void AddPolicyFlags(cli::FlagSet* flags, PolicyCliOptions* opts);
 
 // Resolves the policy: LoadDefaultPolicy(model) locally; with --serve-socket,
 // a self-healing RemotePolicy against the server with that local policy as

@@ -31,8 +31,8 @@ std::unique_ptr<DumbbellScenario> MakeScenario(DumbbellConfig config,
   return scenario;
 }
 
-}  // namespace
-
+// Digest of a finished scenario's per-flow outcomes (bytes sent/acked/lost,
+// completion times) and event count — the fingerprint every family reports.
 uint64_t FingerprintScenario(const Network& net, uint64_t salt) {
   uint64_t fp = salt;
   for (int flow = 0; flow < static_cast<int>(net.flow_count()); ++flow) {
@@ -46,6 +46,10 @@ uint64_t FingerprintScenario(const Network& net, uint64_t salt) {
   return fp;
 }
 
+// Scores the shared metric columns over [begin, end): utilization over every
+// flow, the rest over `flows` (so adversarial runs can score foreground flows
+// only). Jain is the Jain index of the per-flow window means; p95 delay uses
+// per-MTP mean RTTs.
 UniverseMetrics ScoreUniverseWindow(const Network& net, TimeNs begin, TimeNs end,
                                     FlowRange flows, uint64_t fp_salt) {
   UniverseMetrics m;
@@ -58,6 +62,8 @@ UniverseMetrics ScoreUniverseWindow(const Network& net, TimeNs begin, TimeNs end
   m.fingerprint = FingerprintScenario(net, fp_salt);
   return m;
 }
+
+}  // namespace
 
 // ------------------------------------------------------------- datacenter
 
@@ -253,6 +259,10 @@ const char* UniverseFamilyName(UniverseFamily family) {
   return "unknown";
 }
 
+namespace {
+
+// One shard of a sharded universe run, seeded with
+// Rng::DeriveSeed(seed_stream, shard_index).
 ShardResult RunUniverseShard(const ShardedUniverseConfig& config, size_t shard_index) {
   const uint64_t shard_seed = Rng::DeriveSeed(config.seed_stream, shard_index);
   std::unique_ptr<DumbbellScenario> scenario;
@@ -296,6 +306,8 @@ ShardResult RunUniverseShard(const ShardedUniverseConfig& config, size_t shard_i
   result.fingerprint = FingerprintScenario(net, 0xA57AEA0400000000ULL + shard_index);
   return result;
 }
+
+}  // namespace
 
 ShardedRunResult RunShardedUniverse(const ShardedUniverseConfig& config) {
   return RunShards(config.shards, config.workers,

@@ -15,9 +15,9 @@
 //    foreground flows.
 //
 // Each Build* function returns a ready-to-run DumbbellScenario; Run* wraps it
-// with the family's scoring. RunUniverseShard/RunShardedUniverse apply the
-// shard protocol (Rng::DeriveSeed per shard, MixFingerprint aggregation in
-// shard-index order) to any family.
+// with the family's scoring. RunShardedUniverse applies the shard protocol
+// (Rng::DeriveSeed per shard, MixFingerprint aggregation in shard-index
+// order) to any family.
 
 #ifndef SRC_EVAL_SCENARIO_UNIVERSE_H_
 #define SRC_EVAL_SCENARIO_UNIVERSE_H_
@@ -163,19 +163,7 @@ struct ShardedUniverseConfig {
   uint64_t seed_stream = kUniverseSeedStream;
 };
 
-ShardResult RunUniverseShard(const ShardedUniverseConfig& config, size_t shard_index);
 ShardedRunResult RunShardedUniverse(const ShardedUniverseConfig& config);
-
-// Digest of a finished scenario's per-flow outcomes (bytes sent/acked/lost,
-// completion times) and event count — the fingerprint every family reports.
-uint64_t FingerprintScenario(const Network& net, uint64_t salt);
-
-// Scores the shared metric columns over [begin, end): utilization over every
-// flow, the rest over `flows` (so adversarial runs can score foreground flows
-// only). Jain is the Jain index of the per-flow window means; p95 delay uses
-// per-MTP mean RTTs.
-UniverseMetrics ScoreUniverseWindow(const Network& net, TimeNs begin, TimeNs end,
-                                    FlowRange flows, uint64_t fp_salt);
 
 }  // namespace astraea
 

@@ -2,7 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+
+#include "src/core/policy.h"
 
 namespace astraea {
 
@@ -48,9 +49,11 @@ void ConsoleTable::Print() const {
 }
 
 void PrintBenchHeader(const std::string& artifact, const std::string& description) {
+  const std::string policy = PolicyIdentity();
   std::printf("==============================================================\n");
   std::printf("Astraea reproduction — %s\n", artifact.c_str());
   std::printf("%s\n", description.c_str());
+  std::printf("policy: %s\n", policy.c_str());
   std::printf("==============================================================\n");
 }
 
@@ -64,13 +67,10 @@ int BenchReps(int fallback) {
   return fallback;
 }
 
-bool QuickMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      return true;
-    }
-  }
-  return false;
+bool QuickMode(int argc, char** argv, cli::FlagSet flags) {
+  bool quick = false;
+  flags.Switch("--quick", &quick).Parse(argc, argv);
+  return quick;
 }
 
 }  // namespace astraea

@@ -1,12 +1,14 @@
 // Fixed-width console table printer for the benches and the CLI tools, so
 // every table is printed in paper-style rows without hand-formatting, plus
-// the bench binaries' banner and --quick / repetition-count conventions.
+// the bench binaries' banner, command line and repetition count.
 
 #ifndef SRC_EVAL_TABLE_H_
 #define SRC_EVAL_TABLE_H_
 
 #include <string>
 #include <vector>
+
+#include "src/util/cli_flags.h"
 
 namespace astraea {
 
@@ -25,14 +27,17 @@ class ConsoleTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Prints a bench banner: which paper artifact this binary regenerates.
+// Prints a bench banner: which paper artifact this binary regenerates, and
+// the policy "astraea" runs (PolicyIdentity()).
 void PrintBenchHeader(const std::string& artifact, const std::string& description);
 
 // Bench repetition count: ASTRAEA_BENCH_REPS env var, default `fallback`.
 int BenchReps(int fallback = 3);
 
-// True when --quick was passed (benches shrink durations).
-bool QuickMode(int argc, char** argv);
+// Reads a bench's command line: --quick (benches shrink durations) and the
+// bench's own `flags`. Any other argument, or a flag with no value, is named
+// on stderr and exits 1. Returns whether --quick was given.
+bool QuickMode(int argc, char** argv, cli::FlagSet flags = {});
 
 }  // namespace astraea
 

@@ -274,26 +274,6 @@ ParseStatus ParseFrame(const uint8_t* buf, size_t len, ParsedFrame* out) {
   return r.ok() ? ParseStatus::kOk : ParseStatus::kTruncated;
 }
 
-const char* ParseStatusName(ParseStatus status) {
-  switch (status) {
-    case ParseStatus::kOk:
-      return "ok";
-    case ParseStatus::kTruncated:
-      return "truncated";
-    case ParseStatus::kBadMagic:
-      return "bad-magic";
-    case ParseStatus::kBadVersion:
-      return "bad-version";
-    case ParseStatus::kBadType:
-      return "bad-type";
-    case ParseStatus::kBadLength:
-      return "bad-length";
-    case ParseStatus::kBadCrc:
-      return "bad-crc";
-  }
-  return "unknown";
-}
-
 void FillPayloadPattern(uint32_t flow_id, uint64_t seq, uint8_t* dst, size_t len) {
   uint64_t state = MixPayloadSeed(flow_id, seq);
   for (size_t i = 0; i < len; ++i) {

@@ -112,8 +112,6 @@ size_t SerializeFin(const FinFrame& frame, bool is_ack, uint8_t* buf, size_t cap
 // kBadLength (a datagram carries exactly one frame).
 ParseStatus ParseFrame(const uint8_t* buf, size_t len, ParsedFrame* out);
 
-const char* ParseStatusName(ParseStatus status);
-
 // Deterministic payload pattern: byte j of frame (flow_id, seq) is
 // a SplitMix-style mix of the three, so any reordering, truncation or
 // corruption that survives the CRC still trips the content check.

@@ -245,12 +245,10 @@ double RemotePolicy::Act(const StateView& view) const {
 
 std::shared_ptr<const Policy> MakeServedPolicy(const std::string& socket_path,
                                                TimeNs rpc_timeout,
-                                               std::shared_ptr<const Policy> fallback,
-                                               TimeNs connect_timeout) {
+                                               std::shared_ptr<const Policy> fallback) {
   ServeClientConfig config;
   config.socket_path = socket_path;
   config.rpc_timeout = rpc_timeout;
-  config.connect_timeout = connect_timeout;
   std::unique_ptr<ServeClient> client = ServeClient::Connect(config);
   if (client == nullptr) {
     ASTRAEA_LOG(Warning) << "serve: cannot reach inference server at " << socket_path

@@ -171,8 +171,7 @@ class RemotePolicy : public Policy {
 // re-attach) whenever a server appears.
 std::shared_ptr<const Policy> MakeServedPolicy(const std::string& socket_path,
                                                TimeNs rpc_timeout,
-                                               std::shared_ptr<const Policy> fallback,
-                                               TimeNs connect_timeout = Milliseconds(500));
+                                               std::shared_ptr<const Policy> fallback);
 
 }  // namespace serve
 }  // namespace astraea

@@ -1,20 +1,26 @@
-// Strict numeric parsing for tool command lines, and the one checked write of
-// a tool's output file.
+// The one command-line reader of every tool and bench, the strict value
+// parsers it checks values with, and the one checked write of a tool's
+// output file.
 //
-// The tools historically used bare atoi/atof, which silently turn
-// "--episodes banana" into 0 and accept out-of-range values. These helpers
-// require the whole token to parse and the value to sit inside a
-// caller-declared range.
+// There is one spelling: `--flag VALUE` for a flag that takes a value,
+// `--flag` for a switch, plus at most one positional argument where a tool
+// declares one. Every error names the argument:
+//   unknown flag: --flg
+//   missing value for --flag
+//   invalid value for --flag: 'VALUE' (why)
+// FlagSet::Parse prints the message on stderr and exits 1; TryParse returns
+// it instead (BenchRecord and fuzz/fuzz_cli_flags.cc use it).
 //
-// Two layers: the TryParse* cores validate without any side effect and
-// report the reason on failure (fuzzable — fuzz/fuzz_cli_flags.cc drives
-// them with arbitrary bytes); the Parse* wrappers keep the historical CLI
-// contract of printing one clear line to stderr and exit(1)-ing. CLI-only by
+// The TryParse* cores require the whole token to parse and the value to sit
+// inside a caller-declared range (bare atoi once turned "--episodes banana"
+// into 0); they validate without any side effect and report the reason on
+// failure, so chaos schedules and failpoint specs use them too. CLI-only by
 // design — library code should never exit.
 
 #ifndef SRC_UTIL_CLI_FLAGS_H_
 #define SRC_UTIL_CLI_FLAGS_H_
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cmath>
@@ -22,17 +28,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/util/time.h"
 
 namespace astraea {
 namespace cli {
-
-[[noreturn]] inline void FlagError(const char* flag, const char* value, const char* why) {
-  std::fprintf(stderr, "invalid value for %s: '%s' (%s)\n", flag, value, why);
-  std::exit(1);
-}
 
 namespace internal {
 inline void SetWhy(std::string* why, const char* message) {
@@ -150,58 +154,129 @@ inline bool TryParseDuration(const char* value, TimeNs lo, TimeNs hi, TimeNs* ou
   return true;
 }
 
-inline int64_t ParseInt(const char* flag, const char* value, int64_t lo, int64_t hi) {
-  int64_t out = 0;
-  std::string why;
-  if (!TryParseInt(value, lo, hi, &out, &why)) {
-    FlagError(flag, value, why.c_str());
+// The one command-line reader. Each flag is bound once to its destination;
+// a value is checked by the TryParse* core its binding names. A repeated
+// flag keeps its last value.
+class FlagSet {
+ public:
+  // `--name` alone sets *out.
+  FlagSet& Switch(std::string name, bool* out) {
+    flags_.push_back({std::move(name), false, [out](const char*, std::string*) {
+                        *out = true;
+                        return true;
+                      }});
+    return *this;
   }
-  return out;
-}
-
-inline uint64_t ParseU64(const char* flag, const char* value) {
-  uint64_t out = 0;
-  std::string why;
-  if (!TryParseU64(value, &out, &why)) {
-    FlagError(flag, value, why.c_str());
+  // `--name VALUE`: `apply` checks and stores VALUE, or returns false with the
+  // reason in *why.
+  FlagSet& Value(std::string name, std::function<bool(const char*, std::string*)> apply) {
+    flags_.push_back({std::move(name), true, std::move(apply)});
+    return *this;
   }
-  return out;
-}
-
-inline double ParseDouble(const char* flag, const char* value, double lo, double hi) {
-  double out = 0.0;
-  std::string why;
-  if (!TryParseDouble(value, lo, hi, &out, &why)) {
-    FlagError(flag, value, why.c_str());
+  FlagSet& String(std::string name, std::string* out) {
+    return Value(std::move(name), [out](const char* value, std::string*) {
+      *out = value;
+      return true;
+    });
   }
-  return out;
-}
-
-inline TimeNs ParseDuration(const char* flag, const char* value, TimeNs lo, TimeNs hi) {
-  TimeNs out = 0;
-  std::string why;
-  if (!TryParseDuration(value, lo, hi, &out, &why)) {
-    FlagError(flag, value, why.c_str());
+  // An integer in [lo, hi], stored as T.
+  template <typename T>
+  FlagSet& Int(std::string name, int64_t lo, int64_t hi, T* out) {
+    return Value(std::move(name), [lo, hi, out](const char* value, std::string* why) {
+      int64_t v = 0;
+      if (!TryParseInt(value, lo, hi, &v, why)) {
+        return false;
+      }
+      *out = static_cast<T>(v);
+      return true;
+    });
   }
-  return out;
-}
+  FlagSet& U64(std::string name, uint64_t* out) {
+    return Value(std::move(name), [out](const char* value, std::string* why) {
+      return TryParseU64(value, out, why);
+    });
+  }
+  FlagSet& Double(std::string name, double lo, double hi, double* out) {
+    return Value(std::move(name), [lo, hi, out](const char* value, std::string* why) {
+      return TryParseDouble(value, lo, hi, out, why);
+    });
+  }
+  FlagSet& Duration(std::string name, TimeNs lo, TimeNs hi, TimeNs* out) {
+    return Value(std::move(name), [lo, hi, out](const char* value, std::string* why) {
+      return TryParseDuration(value, lo, hi, out, why);
+    });
+  }
+  // A duration in [1ns, hi]. Zero gets its own rejection: a zero batch window
+  // or timeout would busy-loop or never wait.
+  FlagSet& PositiveDuration(std::string name, TimeNs hi, TimeNs* out) {
+    return Value(std::move(name), [hi, out](const char* value, std::string* why) {
+      if (TryParseDuration(value, 1, hi, out, why)) {
+        return true;
+      }
+      TimeNs zero = 0;
+      if (TryParseDuration(value, 0, hi, &zero)) {
+        internal::SetWhy(why, "must be a positive duration");
+      }
+      return false;
+    });
+  }
+  // The one argument that is not a flag, such as trace_dump's input file. An
+  // argument that starts with '-', or a second one, is an unknown flag.
+  FlagSet& Positional(std::string* out) {
+    positional_ = out;
+    return *this;
+  }
 
-// Strictly positive duration: "0ms" (and anything negative, which
-// TryParseDuration already refuses) gets a clear rejection instead of
-// silently configuring a zero window/timeout that busy-loops or never waits.
-// The serving flags (--batch-window, --rpc-timeout, --connect-timeout) all
-// parse through here.
-inline TimeNs ParsePositiveDuration(const char* flag, const char* value, TimeNs hi) {
-  TimeNs out = 0;
-  std::string why;
-  if (!TryParseDuration(value, 1, hi, &out, &why)) {
-    if (TryParseDuration(value, 0, hi, &out)) {
-      FlagError(flag, value, "must be a positive duration");
+  // Reads argv[1..argc). Returns false with `*error` naming the argument at
+  // the first one that is unknown, lacks its value or has a bad value.
+  bool TryParse(int argc, char* const* argv, std::string* error) const {
+    bool positional_read = false;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto flag = std::find_if(flags_.begin(), flags_.end(),
+                                     [&arg](const Flag& f) { return f.name == arg; });
+      if (flag == flags_.end()) {
+        if (positional_ == nullptr || positional_read || arg.starts_with('-')) {
+          *error = "unknown flag: " + arg;
+          return false;
+        }
+        *positional_ = arg;
+        positional_read = true;
+      } else if (!flag->takes_value) {
+        flag->apply(nullptr, nullptr);
+      } else if (i + 1 >= argc) {
+        *error = "missing value for " + arg;
+        return false;
+      } else {
+        const char* value = argv[++i];
+        std::string why;
+        if (!flag->apply(value, &why)) {
+          *error = "invalid value for " + arg + ": '" + value + "' (" + why + ")";
+          return false;
+        }
+      }
     }
-    FlagError(flag, value, why.c_str());
+    return true;
   }
-  return out;
-}
+
+  // TryParse, but an error is printed on stderr and exits 1.
+  void Parse(int argc, char* const* argv) const {
+    std::string error;
+    if (!TryParse(argc, argv, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      std::exit(1);
+    }
+  }
+
+ private:
+  struct Flag {
+    std::string name;
+    bool takes_value;
+    std::function<bool(const char*, std::string*)> apply;
+  };
+  std::vector<Flag> flags_;
+  std::string* positional_ = nullptr;
+};
 
 // Writes `text` to `path`, replacing the file. A file that cannot be opened,
 // written or closed (a missing directory, a full disk) is named on stderr as

@@ -44,13 +44,6 @@ void BinaryWriter::WriteFloatVec(const std::vector<float>& v) {
   }
 }
 
-void BinaryWriter::WriteDoubleVec(const std::vector<double>& v) {
-  WriteU64(v.size());
-  if (!v.empty()) {
-    WriteBytes(v.data(), v.size() * sizeof(double));
-  }
-}
-
 void BinaryWriter::Flush() {
   out_->flush();
   if (!out_->good()) {
@@ -140,20 +133,6 @@ std::vector<float> BinaryReader::ReadFloatVec() {
   if (n != 0) {
     in_->read(reinterpret_cast<char*>(v.data()),
               static_cast<std::streamsize>(n * sizeof(float)));
-    if (!in_->good()) {
-      throw SerializationError("unexpected end of checkpoint");
-    }
-  }
-  return v;
-}
-
-std::vector<double> BinaryReader::ReadDoubleVec() {
-  const uint64_t n = ReadU64();
-  CheckAvailable(n, sizeof(double), "double vector");
-  std::vector<double> v(n);
-  if (n != 0) {
-    in_->read(reinterpret_cast<char*>(v.data()),
-              static_cast<std::streamsize>(n * sizeof(double)));
     if (!in_->good()) {
       throw SerializationError("unexpected end of checkpoint");
     }

@@ -38,7 +38,6 @@ class BinaryWriter {
   void WriteF64(double v);
   void WriteString(const std::string& s);
   void WriteFloatVec(const std::vector<float>& v);
-  void WriteDoubleVec(const std::vector<double>& v);
 
   // Flushes buffered bytes to the OS and throws SerializationError if the
   // stream is not healthy afterwards. File-backed savers must call this (or
@@ -69,7 +68,6 @@ class BinaryReader {
   double ReadF64();
   std::string ReadString();
   std::vector<float> ReadFloatVec();
-  std::vector<double> ReadDoubleVec();
 
   // Bytes left between the read cursor and end-of-stream. Length prefixes
   // are validated against this before any allocation.

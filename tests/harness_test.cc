@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -9,12 +10,14 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/policy.h"
 #include "src/eval/bench_record.h"
 #include "src/eval/cli_scenario.h"
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
 #include "src/eval/window_metrics.h"
 #include "src/nn/mlp.h"
+#include "src/util/serialization.h"
 #include "src/util/stats.h"
 
 namespace astraea {
@@ -206,9 +209,10 @@ TEST(BenchRecordTest, WritesPerfbenchKeysWithEveryDigit) {
   record.Check("passes", true, "fine");
   record.Check("fails", false, "said \"no\" at C:\\tmp");
   const std::map<std::string, std::string>& provenance = record.provenance();
-  ASSERT_EQ(provenance.size(), 6u);
+  ASSERT_EQ(provenance.size(), 7u);
   EXPECT_EQ(provenance.at("host_cores"), std::to_string(std::thread::hardware_concurrency()));
   EXPECT_EQ(provenance.at("nn_kernels"), BatchedKernelVariant());
+  EXPECT_EQ(provenance.at("policy"), PolicyIdentity());
   EXPECT_EQ(provenance.at("quick"), "false");
   EXPECT_FALSE(provenance.at("build_type").empty());
   EXPECT_FALSE(provenance.at("compiler").empty());
@@ -222,6 +226,7 @@ TEST(BenchRecordTest, WritesPerfbenchKeysWithEveryDigit) {
                 provenance.at("compiler") + "\", \"cxx_flags\": \"" + provenance.at("cxx_flags") +
                 "\", \"host_cores\": \"" + provenance.at("host_cores") +
                 "\", \"nn_kernels\": \"" + provenance.at("nn_kernels") +
+                "\", \"policy\": \"" + provenance.at("policy") +
                 "\", \"quick\": \"false\"},\n"
                 "  \"checks\": [\n"
                 "    {\"name\": \"passes\", \"ok\": true, \"detail\": \"fine\"},\n"
@@ -285,6 +290,37 @@ TEST(BenchRecordTest, ReadsOneSpellingAndRejectsTheRest) {
     testing::internal::CaptureStderr();
     EXPECT_FALSE(RecordFrom(args, {}, {"--traces"}).args_ok()) << args[1];
     EXPECT_NE(testing::internal::GetCapturedStderr().find(args[1]), std::string::npos);
+  }
+}
+
+TEST(PolicyIdentityTest, NamesTheDistilledPolicyOrTheCheckpointBytes) {
+  const char* env = std::getenv("ASTRAEA_MODEL");
+  const std::string saved = env != nullptr ? env : "";
+  unsetenv("ASTRAEA_MODEL");
+  EXPECT_EQ(PolicyIdentity(), "distilled");
+  testing::internal::CaptureStdout();
+  PrintBenchHeader("Figure 0", "demo");
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("\ndemo\npolicy: distilled\n"),
+            std::string::npos);
+  EXPECT_EQ(RecordFrom({"bench_demo"}).provenance().at("policy"), "distilled");
+
+  const std::string checkpoint =
+      std::string(ASTRAEA_SOURCE_DIR) + "/models/astraea_policy_trained.ckpt";
+  EXPECT_EQ(PolicyIdentity(checkpoint), checkpoint + " crc32=bb5b4c3c");
+  setenv("ASTRAEA_MODEL", checkpoint.c_str(), 1);
+  EXPECT_EQ(PolicyIdentity(), checkpoint + " crc32=bb5b4c3c");
+  EXPECT_EQ(RecordFrom({"bench_demo"}).provenance().at("policy"), checkpoint + " crc32=bb5b4c3c");
+  try {
+    PolicyIdentity("/nonexistent/path.ckpt");
+    ADD_FAILURE() << "a missing checkpoint has an identity";
+  } catch (const SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find("/nonexistent/path.ckpt"), std::string::npos)
+        << e.what();
+  }
+  if (saved.empty()) {
+    unsetenv("ASTRAEA_MODEL");
+  } else {
+    setenv("ASTRAEA_MODEL", saved.c_str(), 1);
   }
 }
 

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
 #include <random>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -43,16 +45,51 @@ TEST(TimeTest, BdpBytes) {
   EXPECT_EQ(BdpBytes(Mbps(100), Milliseconds(30)), 375'000u);
 }
 
+// An owned argv: the program name, then `args`.
+class Argv {
+ public:
+  Argv(std::initializer_list<std::string> args) : args_(args) {
+    args_.insert(args_.begin(), "tool");
+    for (std::string& arg : args_) {
+      pointers_.push_back(arg.data());
+    }
+  }
+  Argv(const Argv&) = delete;
+  Argv& operator=(const Argv&) = delete;
+
+  int argc() const { return static_cast<int>(pointers_.size()); }
+  char** argv() { return pointers_.data(); }
+
+ private:
+  std::vector<std::string> args_;
+  std::vector<char*> pointers_;
+};
+
+// `--t VALUE` read as a duration in [lo, hi]; a bad value exits 1.
+TimeNs ReadDuration(const char* value, TimeNs lo, TimeNs hi) {
+  TimeNs out = -1;
+  Argv args{"--t", value};
+  cli::FlagSet().Duration("--t", lo, hi, &out).Parse(args.argc(), args.argv());
+  return out;
+}
+
+TimeNs ReadPositiveDuration(const char* value, TimeNs hi) {
+  TimeNs out = -1;
+  Argv args{"--t", value};
+  cli::FlagSet().PositiveDuration("--t", hi, &out).Parse(args.argc(), args.argv());
+  return out;
+}
+
 TEST(ParseDurationTest, AcceptsEveryUnit) {
   constexpr TimeNs kLo = 0;
   constexpr TimeNs kHi = Seconds(100.0);
-  EXPECT_EQ(cli::ParseDuration("--t", "250ns", kLo, kHi), 250);
-  EXPECT_EQ(cli::ParseDuration("--t", "500us", kLo, kHi), Microseconds(500));
-  EXPECT_EQ(cli::ParseDuration("--t", "5ms", kLo, kHi), Milliseconds(5));
-  EXPECT_EQ(cli::ParseDuration("--t", "1s", kLo, kHi), Seconds(1.0));
-  EXPECT_EQ(cli::ParseDuration("--t", "1.5ms", kLo, kHi), Microseconds(1500));
-  EXPECT_EQ(cli::ParseDuration("--t", "0.25s", kLo, kHi), Milliseconds(250));
-  EXPECT_EQ(cli::ParseDuration("--t", "0ns", kLo, kHi), 0);
+  EXPECT_EQ(ReadDuration("250ns", kLo, kHi), 250);
+  EXPECT_EQ(ReadDuration("500us", kLo, kHi), Microseconds(500));
+  EXPECT_EQ(ReadDuration("5ms", kLo, kHi), Milliseconds(5));
+  EXPECT_EQ(ReadDuration("1s", kLo, kHi), Seconds(1.0));
+  EXPECT_EQ(ReadDuration("1.5ms", kLo, kHi), Microseconds(1500));
+  EXPECT_EQ(ReadDuration("0.25s", kLo, kHi), Milliseconds(250));
+  EXPECT_EQ(ReadDuration("0ns", kLo, kHi), 0);
 }
 
 TEST(ParseDurationDeathTest, RejectsMalformedValues) {
@@ -60,21 +97,16 @@ TEST(ParseDurationDeathTest, RejectsMalformedValues) {
   constexpr TimeNs kHi = Seconds(60.0);
   // Unit suffixes are mandatory: a bare number would silently mean different
   // things to different flags.
-  EXPECT_EXIT(cli::ParseDuration("--t", "500", kLo, kHi), testing::ExitedWithCode(1),
+  EXPECT_EXIT(ReadDuration("500", kLo, kHi), testing::ExitedWithCode(1),
               "invalid value for --t");
-  EXPECT_EXIT(cli::ParseDuration("--t", "banana", kLo, kHi), testing::ExitedWithCode(1),
-              "not a duration");
-  EXPECT_EXIT(cli::ParseDuration("--t", "5m", kLo, kHi), testing::ExitedWithCode(1),
-              "unknown unit");
-  EXPECT_EXIT(cli::ParseDuration("--t", "-5ms", kLo, kHi), testing::ExitedWithCode(1),
-              "nonnegative");
-  EXPECT_EXIT(cli::ParseDuration("--t", "1e300s", kLo, kHi), testing::ExitedWithCode(1),
+  EXPECT_EXIT(ReadDuration("banana", kLo, kHi), testing::ExitedWithCode(1), "not a duration");
+  EXPECT_EXIT(ReadDuration("5m", kLo, kHi), testing::ExitedWithCode(1), "unknown unit");
+  EXPECT_EXIT(ReadDuration("-5ms", kLo, kHi), testing::ExitedWithCode(1), "nonnegative");
+  EXPECT_EXIT(ReadDuration("1e300s", kLo, kHi), testing::ExitedWithCode(1),
               "invalid value for --t");
   // In-range enforcement: below lo and above hi both fail.
-  EXPECT_EXIT(cli::ParseDuration("--t", "1us", kLo, kHi), testing::ExitedWithCode(1),
-              "must be in");
-  EXPECT_EXIT(cli::ParseDuration("--t", "90s", kLo, kHi), testing::ExitedWithCode(1),
-              "must be in");
+  EXPECT_EXIT(ReadDuration("1us", kLo, kHi), testing::ExitedWithCode(1), "must be in");
+  EXPECT_EXIT(ReadDuration("90s", kLo, kHi), testing::ExitedWithCode(1), "must be in");
 }
 
 TimeNs SteadyNow() {
@@ -84,22 +116,107 @@ TimeNs SteadyNow() {
 }
 
 TEST(ParsePositiveDurationTest, AcceptsPositiveRejectsZeroAndNegative) {
-  EXPECT_EQ(cli::ParsePositiveDuration("--t", "5ms", Seconds(60.0)), Milliseconds(5));
-  EXPECT_EQ(cli::ParsePositiveDuration("--t", "1ns", Seconds(60.0)), 1);
+  EXPECT_EQ(ReadPositiveDuration("5ms", Seconds(60.0)), Milliseconds(5));
+  EXPECT_EQ(ReadPositiveDuration("1ns", Seconds(60.0)), 1);
   // Zero parses as a duration but is rejected with a *specific* message — a
   // zero batch window or rpc timeout silently busy-loops / never waits.
-  EXPECT_EXIT(cli::ParsePositiveDuration("--t", "0ms", Seconds(60.0)),
-              testing::ExitedWithCode(1), "must be a positive duration");
-  EXPECT_EXIT(cli::ParsePositiveDuration("--t", "0s", Seconds(60.0)),
-              testing::ExitedWithCode(1), "must be a positive duration");
-  EXPECT_EXIT(cli::ParsePositiveDuration("--t", "-5ms", Seconds(60.0)),
-              testing::ExitedWithCode(1), "nonnegative");
-  EXPECT_EXIT(cli::ParsePositiveDuration("--t", "banana", Seconds(60.0)),
-              testing::ExitedWithCode(1), "not a duration");
-  EXPECT_EXIT(cli::ParsePositiveDuration("--t", "5", Seconds(60.0)),
-              testing::ExitedWithCode(1), "unknown unit");
-  EXPECT_EXIT(cli::ParsePositiveDuration("--t", "90s", Seconds(60.0)),
-              testing::ExitedWithCode(1), "must be in");
+  EXPECT_EXIT(ReadPositiveDuration("0ms", Seconds(60.0)), testing::ExitedWithCode(1),
+              "must be a positive duration");
+  EXPECT_EXIT(ReadPositiveDuration("0s", Seconds(60.0)), testing::ExitedWithCode(1),
+              "must be a positive duration");
+  EXPECT_EXIT(ReadPositiveDuration("-5ms", Seconds(60.0)), testing::ExitedWithCode(1),
+              "nonnegative");
+  EXPECT_EXIT(ReadPositiveDuration("banana", Seconds(60.0)), testing::ExitedWithCode(1),
+              "not a duration");
+  EXPECT_EXIT(ReadPositiveDuration("5", Seconds(60.0)), testing::ExitedWithCode(1),
+              "unknown unit");
+  EXPECT_EXIT(ReadPositiveDuration("90s", Seconds(60.0)), testing::ExitedWithCode(1),
+              "must be in");
+}
+
+TEST(FlagSetTest, ValueFlagLastOnTheLineIsMissingItsValue) {
+  uint64_t bytes = 0;
+  double loss = 0.0;
+  const cli::FlagSet flags =
+      cli::FlagSet().U64("--bytes", &bytes).Double("--loss", 0.0, 1.0, &loss);
+  Argv args{"--bytes", "1000", "--loss"};
+  std::string error;
+  EXPECT_FALSE(flags.TryParse(args.argc(), args.argv(), &error));
+  EXPECT_EQ(error, "missing value for --loss");
+  EXPECT_EQ(loss, 0.0);
+}
+
+TEST(FlagSetTest, UnknownFlagIsNamed) {
+  bool quick = false;
+  Argv args{"--quik"};
+  std::string error;
+  EXPECT_FALSE(cli::FlagSet().Switch("--quick", &quick).TryParse(args.argc(), args.argv(), &error));
+  EXPECT_EQ(error, "unknown flag: --quik");
+  EXPECT_FALSE(quick);
+}
+
+TEST(FlagSetTest, EqualsSpellingIsUnknown) {
+  std::string suite = "golden";
+  Argv args{"--suite=universe"};
+  std::string error;
+  EXPECT_FALSE(cli::FlagSet().String("--suite", &suite).TryParse(args.argc(), args.argv(), &error));
+  EXPECT_EQ(error, "unknown flag: --suite=universe");
+  EXPECT_EQ(suite, "golden");
+}
+
+TEST(FlagSetTest, SwitchTakesNoValue) {
+  bool timeline = false;
+  Argv args{"--timeline", "5"};
+  std::string error;
+  EXPECT_FALSE(
+      cli::FlagSet().Switch("--timeline", &timeline).TryParse(args.argc(), args.argv(), &error));
+  EXPECT_EQ(error, "unknown flag: 5");
+  EXPECT_TRUE(timeline);
+}
+
+TEST(FlagSetTest, ReadsOnePositionalArgument) {
+  std::string in_path;
+  int flow = INT32_MIN;
+  const cli::FlagSet flags = cli::FlagSet().Int("--flow", -1, 1'000'000, &flow).Positional(&in_path);
+  Argv args{"run.trace", "--flow", "-1"};
+  std::string error;
+  ASSERT_TRUE(flags.TryParse(args.argc(), args.argv(), &error)) << error;
+  EXPECT_EQ(in_path, "run.trace");
+  EXPECT_EQ(flow, -1);
+  // A second positional, or one that starts with '-', is an unknown flag.
+  Argv two{"a.trace", "b.trace"};
+  EXPECT_FALSE(flags.TryParse(two.argc(), two.argv(), &error));
+  EXPECT_EQ(error, "unknown flag: b.trace");
+  Argv dash{"-x"};
+  EXPECT_FALSE(flags.TryParse(dash.argc(), dash.argv(), &error));
+  EXPECT_EQ(error, "unknown flag: -x");
+}
+
+TEST(FlagSetDeathTest, RangeErrorIsAnInvalidValue) {
+  int episodes = 60;
+  Argv args{"--episodes", "0"};
+  EXPECT_EXIT(cli::FlagSet().Int("--episodes", 1, 1'000'000, &episodes).Parse(args.argc(),
+                                                                              args.argv()),
+              testing::ExitedWithCode(1),
+              "invalid value for --episodes: '0' \\(must be in \\[1, 1000000\\]\\)");
+}
+
+TEST(FlagSetTest, RepeatedFlagKeepsTheLastValue) {
+  uint64_t seed = 7;
+  Argv args{"--seed", "1", "--seed", "9"};
+  std::string error;
+  ASSERT_TRUE(cli::FlagSet().U64("--seed", &seed).TryParse(args.argc(), args.argv(), &error));
+  EXPECT_EQ(seed, 9u);
+}
+
+TEST(FlagSetTest, TryParseReturnsTheMessageWithoutExiting) {
+  double bw = 100.0;
+  Argv args{"--bw", "banana"};
+  std::string error;
+  EXPECT_FALSE(
+      cli::FlagSet().Double("--bw", 0.001, 1e6, &bw).TryParse(args.argc(), args.argv(), &error));
+  EXPECT_EQ(error, "invalid value for --bw: 'banana' (not a number)");
+  EXPECT_EQ(bw, 100.0);
 }
 
 TEST(BackoffTest, DeterministicGivenSeedAndDecorrelatedAcrossSeeds) {

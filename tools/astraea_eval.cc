@@ -4,7 +4,6 @@
 //   astraea_eval                          # distilled / default policy
 //   astraea_eval --model models/foo.ckpt  # a specific checkpoint
 //   astraea_eval --serve-socket /tmp/astraea.sock [--rpc-timeout 20ms]
-//                [--connect-timeout 500ms]
 //                                         # score decisions served by
 //                                         # astraea_serve over shm IPC
 //
@@ -13,7 +12,6 @@
 // fairness, CUBIC coexistence, cellular trace, satellite.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "src/eval/cli_scenario.h"
@@ -26,29 +24,9 @@ namespace {
 
 int Main(int argc, char** argv) {
   PolicyCliOptions policy_opts;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--model") == 0) {
-      policy_opts.model = next("--model");
-    } else if (std::strcmp(argv[i], "--serve-socket") == 0) {
-      policy_opts.serve_socket = next("--serve-socket");
-    } else if (std::strcmp(argv[i], "--rpc-timeout") == 0) {
-      policy_opts.rpc_timeout =
-          cli::ParsePositiveDuration("--rpc-timeout", next("--rpc-timeout"), Seconds(60.0));
-    } else if (std::strcmp(argv[i], "--connect-timeout") == 0) {
-      policy_opts.connect_timeout =
-          cli::ParsePositiveDuration("--connect-timeout", next("--connect-timeout"), Seconds(60.0));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 1;
-    }
-  }
+  cli::FlagSet flags;
+  AddPolicyFlags(&flags, &policy_opts);
+  flags.Parse(argc, argv);
   const std::shared_ptr<const Policy> policy = MakeCliPolicy(policy_opts);
   std::printf("policy under evaluation: %s\n\n", policy->name().c_str());
 

@@ -16,12 +16,13 @@
 //   ./astraea_net recv --port 9000
 //   ./astraea_net send --host 127.0.0.1 --port 9000 --bytes 67108864
 //
-// Exit code: 0 on success; for transfers, nonzero when the transfer did not
-// complete or any frame arrived corrupt.
+// Exit code: 0 on success; 1 for a bad command line (an unknown subcommand
+// or flag, a flag with no value, a value out of range, a missing --port or
+// --forward-port) and, for transfers, when the transfer did not complete or
+// any frame arrived corrupt.
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -35,12 +36,6 @@
 namespace astraea {
 namespace {
 
-using cli::ParseDouble;
-using cli::ParseDuration;
-using cli::ParseInt;
-using cli::ParsePositiveDuration;
-using cli::ParseU64;
-
 int Usage() {
   std::fprintf(
       stderr,
@@ -53,9 +48,9 @@ int Usage() {
       "  emulate  --forward-port N [--listen-port N] [--forward-host A.B.C.D]\n"
       "           [--rate-mbps R] [--rtt DUR] [--buffer-bytes N] [--loss P] [--seed N]\n"
       "  loopback --bytes N [--scheme NAME] [--model PATH] [--serve-socket PATH]\n"
-      "           [--rate-mbps R] [--rtt DUR] [--buffer-bytes N] [--loss P]\n"
+      "           [--rpc-timeout DUR] [--rate-mbps R] [--rtt DUR] [--buffer-bytes N] [--loss P]\n"
       "           [--mss N] [--max-runtime DUR] [--ack-every N] [--seed N]\n");
-  return 2;
+  return 1;
 }
 
 // Builds the controller factory for `scheme`. The astraea policy resolves
@@ -97,29 +92,15 @@ void PrintTransferJson(const net::LoopbackResult& result) {
 
 int RunRecv(int argc, char** argv) {
   net::UdpReceiverConfig config;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--no-verify-payload") {
-      config.verify_payload = false;
-      continue;
-    }
-    if (value == nullptr) {
-      return Usage();
-    }
-    ++i;
-    if (flag == "--port") {
-      config.port = static_cast<uint16_t>(ParseInt("--port", value, 1, 65535));
-    } else if (flag == "--ack-every") {
-      config.ack_every = static_cast<uint32_t>(ParseInt("--ack-every", value, 1, 64));
-    } else if (flag == "--ack-delay") {
-      config.ack_delay = ParsePositiveDuration("--ack-delay", value, Seconds(1.0));
-    } else if (flag == "--idle-timeout") {
-      config.idle_timeout = ParseDuration("--idle-timeout", value, 0, Seconds(3600.0));
-    } else {
-      return Usage();
-    }
-  }
+  bool no_verify_payload = false;
+  cli::FlagSet()
+      .Int("--port", 1, 65535, &config.port)
+      .Int("--ack-every", 1, 64, &config.ack_every)
+      .PositiveDuration("--ack-delay", Seconds(1.0), &config.ack_delay)
+      .Duration("--idle-timeout", 0, Seconds(3600.0), &config.idle_timeout)
+      .Switch("--no-verify-payload", &no_verify_payload)
+      .Parse(argc, argv);
+  config.verify_payload = !no_verify_payload;
   net::UdpReceiver receiver(config);
   if (!receiver.Bind()) {
     std::fprintf(stderr, "astraea_net recv: bind failed\n");
@@ -140,36 +121,17 @@ int RunSend(int argc, char** argv) {
   net::UdpSenderConfig config;
   std::string scheme = "astraea";
   PolicyCliOptions policy;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const char* value = argv[i + 1];
-    if (flag == "--host") {
-      config.host = value;
-    } else if (flag == "--port") {
-      config.port = static_cast<uint16_t>(ParseInt("--port", value, 1, 65535));
-    } else if (flag == "--bytes") {
-      config.total_bytes = ParseU64("--bytes", value);
-    } else if (flag == "--scheme") {
-      scheme = value;
-    } else if (flag == "--model") {
-      policy.model = value;
-    } else if (flag == "--serve-socket") {
-      policy.serve_socket = value;
-    } else if (flag == "--rpc-timeout") {
-      policy.rpc_timeout = ParsePositiveDuration("--rpc-timeout", value, Seconds(1.0));
-    } else if (flag == "--mss") {
-      config.mss = static_cast<uint32_t>(
-          ParseInt("--mss", value, static_cast<int64_t>(net::kDataHeaderBytes) + 1, 65000));
-    } else if (flag == "--mtp") {
-      config.mtp = ParsePositiveDuration("--mtp", value, Seconds(10.0));
-    } else if (flag == "--max-runtime") {
-      config.max_runtime = ParseDuration("--max-runtime", value, 0, Seconds(3600.0));
-    } else if (flag == "--flow-id") {
-      config.flow_id = static_cast<uint32_t>(ParseInt("--flow-id", value, 0, INT32_MAX));
-    } else {
-      return Usage();
-    }
-  }
+  cli::FlagSet flags;
+  flags.String("--host", &config.host)
+      .Int("--port", 1, 65535, &config.port)
+      .U64("--bytes", &config.total_bytes)
+      .String("--scheme", &scheme)
+      .Int("--mss", static_cast<int64_t>(net::kDataHeaderBytes) + 1, 65000, &config.mss)
+      .PositiveDuration("--mtp", Seconds(10.0), &config.mtp)
+      .Duration("--max-runtime", 0, Seconds(3600.0), &config.max_runtime)
+      .Int("--flow-id", 0, INT32_MAX, &config.flow_id);
+  AddPolicyFlags(&flags, &policy);
+  flags.Parse(argc, argv);
   if (config.port == 0) {
     return Usage();
   }
@@ -193,29 +155,16 @@ int RunEmulate(int argc, char** argv) {
   net::LinkEmulatorConfig config;
   double rate_mbps = 0.0;
   TimeNs rtt = 0;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const char* value = argv[i + 1];
-    if (flag == "--listen-port") {
-      config.listen_port = static_cast<uint16_t>(ParseInt("--listen-port", value, 1, 65535));
-    } else if (flag == "--forward-host") {
-      config.forward_host = value;
-    } else if (flag == "--forward-port") {
-      config.forward_port = static_cast<uint16_t>(ParseInt("--forward-port", value, 1, 65535));
-    } else if (flag == "--rate-mbps") {
-      rate_mbps = ParseDouble("--rate-mbps", value, 0.0, 1e5);
-    } else if (flag == "--rtt") {
-      rtt = ParseDuration("--rtt", value, 0, Seconds(10.0));
-    } else if (flag == "--buffer-bytes") {
-      config.buffer_bytes = ParseU64("--buffer-bytes", value);
-    } else if (flag == "--loss") {
-      config.random_loss = ParseDouble("--loss", value, 0.0, 1.0);
-    } else if (flag == "--seed") {
-      config.seed = ParseU64("--seed", value);
-    } else {
-      return Usage();
-    }
-  }
+  cli::FlagSet()
+      .Int("--listen-port", 1, 65535, &config.listen_port)
+      .String("--forward-host", &config.forward_host)
+      .Int("--forward-port", 1, 65535, &config.forward_port)
+      .Double("--rate-mbps", 0.0, 1e5, &rate_mbps)
+      .Duration("--rtt", 0, Seconds(10.0), &rtt)
+      .U64("--buffer-bytes", &config.buffer_bytes)
+      .Double("--loss", 0.0, 1.0, &config.random_loss)
+      .U64("--seed", &config.seed)
+      .Parse(argc, argv);
   if (config.forward_port == 0) {
     return Usage();
   }
@@ -240,40 +189,19 @@ int RunLoopback(int argc, char** argv) {
   PolicyCliOptions policy;
   double rate_mbps = 0.0;
   TimeNs rtt = 0;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const char* value = argv[i + 1];
-    if (flag == "--bytes") {
-      config.sender.total_bytes = ParseU64("--bytes", value);
-    } else if (flag == "--scheme") {
-      scheme = value;
-    } else if (flag == "--model") {
-      policy.model = value;
-    } else if (flag == "--serve-socket") {
-      policy.serve_socket = value;
-    } else if (flag == "--rpc-timeout") {
-      policy.rpc_timeout = ParsePositiveDuration("--rpc-timeout", value, Seconds(1.0));
-    } else if (flag == "--rate-mbps") {
-      rate_mbps = ParseDouble("--rate-mbps", value, 0.0, 1e5);
-    } else if (flag == "--rtt") {
-      rtt = ParseDuration("--rtt", value, 0, Seconds(10.0));
-    } else if (flag == "--buffer-bytes") {
-      config.emulator.buffer_bytes = ParseU64("--buffer-bytes", value);
-    } else if (flag == "--loss") {
-      config.emulator.random_loss = ParseDouble("--loss", value, 0.0, 1.0);
-    } else if (flag == "--mss") {
-      config.sender.mss = static_cast<uint32_t>(
-          ParseInt("--mss", value, static_cast<int64_t>(net::kDataHeaderBytes) + 1, 65000));
-    } else if (flag == "--max-runtime") {
-      config.sender.max_runtime = ParseDuration("--max-runtime", value, 0, Seconds(3600.0));
-    } else if (flag == "--ack-every") {
-      config.receiver.ack_every = static_cast<uint32_t>(ParseInt("--ack-every", value, 1, 64));
-    } else if (flag == "--seed") {
-      config.emulator.seed = ParseU64("--seed", value);
-    } else {
-      return Usage();
-    }
-  }
+  cli::FlagSet flags;
+  flags.U64("--bytes", &config.sender.total_bytes)
+      .String("--scheme", &scheme)
+      .Double("--rate-mbps", 0.0, 1e5, &rate_mbps)
+      .Duration("--rtt", 0, Seconds(10.0), &rtt)
+      .U64("--buffer-bytes", &config.emulator.buffer_bytes)
+      .Double("--loss", 0.0, 1.0, &config.emulator.random_loss)
+      .Int("--mss", static_cast<int64_t>(net::kDataHeaderBytes) + 1, 65000, &config.sender.mss)
+      .Duration("--max-runtime", 0, Seconds(3600.0), &config.sender.max_runtime)
+      .Int("--ack-every", 1, 64, &config.receiver.ack_every)
+      .U64("--seed", &config.emulator.seed);
+  AddPolicyFlags(&flags, &policy);
+  flags.Parse(argc, argv);
   config.shaped = rate_mbps > 0.0 || rtt > 0 || config.emulator.random_loss > 0.0 ||
                   config.emulator.buffer_bytes > 0;
   config.emulator.rate = Mbps(rate_mbps);
@@ -296,18 +224,19 @@ int Main(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
+  // Each subcommand reads its flags after the subcommand's name.
   const std::string command = argv[1];
   if (command == "recv") {
-    return RunRecv(argc, argv);
+    return RunRecv(argc - 1, argv + 1);
   }
   if (command == "send") {
-    return RunSend(argc, argv);
+    return RunSend(argc - 1, argv + 1);
   }
   if (command == "emulate") {
-    return RunEmulate(argc, argv);
+    return RunEmulate(argc - 1, argv + 1);
   }
   if (command == "loopback") {
-    return RunLoopback(argc, argv);
+    return RunLoopback(argc - 1, argv + 1);
   }
   return Usage();
 }

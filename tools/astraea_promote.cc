@@ -2,12 +2,12 @@
 //
 //   astraea_promote --candidate new.ckpt --incumbent models/astraea_policy.ckpt
 //                   [--install] [--json report.json]
-//                   [--suite=golden|universe] [--traces DIR]
+//                   [--suite golden|universe] [--traces DIR]
 //
 // Scores the candidate against the incumbent on the golden scenario suite
 // (utilization, Jain fairness, p95 delay, loss — see src/train/promotion.h;
 // the scenario rows live in src/train/scoring.cc).
-// --suite=universe swaps in the scenario-universe gate (shallow-buffer ECN,
+// --suite universe swaps in the scenario-universe gate (shallow-buffer ECN,
 // cellular trace replay, contested link; UniverseGateSuite) for candidates
 // that must also hold up outside the paper's dumbbells.
 // Without --install this is a dry run: the verdict is printed and nothing is
@@ -15,10 +15,10 @@
 // incumbent file (tmp + fsync + rename), which is exactly the artifact
 // astraea_serve hot-reloads on SIGHUP.
 //
-// Exit codes: 0 accept, 2 reject, 1 error (unreadable candidate, I/O).
+// Exit codes: 0 accept, 2 reject, 1 error (unreadable candidate, I/O, a bad
+// command line).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "src/train/promotion.h"
@@ -39,37 +39,18 @@ int Main(int argc, char** argv) {
   std::string traces = std::string(ASTRAEA_SOURCE_DIR) + "/traces";
   bool install = false;
 
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--candidate") == 0) {
-      candidate = next();
-    } else if (std::strcmp(argv[i], "--incumbent") == 0) {
-      incumbent = next();
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = next();
-    } else if (std::strcmp(argv[i], "--install") == 0) {
-      install = true;
-    } else if (std::strcmp(argv[i], "--suite") == 0) {
-      suite = next();
-    } else if (std::strncmp(argv[i], "--suite=", 8) == 0) {
-      suite = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--traces") == 0) {
-      traces = next();
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 1;
-    }
-  }
+  cli::FlagSet()
+      .String("--candidate", &candidate)
+      .String("--incumbent", &incumbent)
+      .String("--json", &json_path)
+      .Switch("--install", &install)
+      .String("--suite", &suite)
+      .String("--traces", &traces)
+      .Parse(argc, argv);
   if (candidate.empty() || incumbent.empty()) {
     std::fprintf(stderr,
                  "usage: astraea_promote --candidate PATH --incumbent PATH"
-                 " [--install] [--json PATH] [--suite=golden|universe] [--traces DIR]\n");
+                 " [--install] [--json PATH] [--suite golden|universe] [--traces DIR]\n");
     return 1;
   }
   if (suite != "golden" && suite != "universe") {

@@ -129,40 +129,17 @@ int Main(int argc, char** argv) {
   std::string chaos_text;
   bool supervise = false;
   int max_restarts = -1;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--socket") == 0) {
-      config.socket_path = next("--socket");
-    } else if (std::strcmp(argv[i], "--model") == 0) {
-      config.model_path = next("--model");
-    } else if (std::strcmp(argv[i], "--batch-window") == 0) {
-      config.batch_window =
-          cli::ParsePositiveDuration("--batch-window", next("--batch-window"), Seconds(1.0));
-    } else if (std::strcmp(argv[i], "--max-batch") == 0) {
-      config.max_batch = static_cast<size_t>(
-          cli::ParseInt("--max-batch", next("--max-batch"), 1, 4096));
-    } else if (std::strcmp(argv[i], "--shed-margin") == 0) {
-      config.shed_margin = cli::ParseDouble("--shed-margin", next("--shed-margin"), 0.0, 100.0);
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metrics_out = next("--metrics-out");
-    } else if (std::strcmp(argv[i], "--chaos") == 0) {
-      chaos_text = next("--chaos");
-    } else if (std::strcmp(argv[i], "--supervise") == 0) {
-      supervise = true;
-    } else if (std::strcmp(argv[i], "--max-restarts") == 0) {
-      max_restarts =
-          static_cast<int>(cli::ParseInt("--max-restarts", next("--max-restarts"), 0, 1000000));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 1;
-    }
-  }
+  cli::FlagSet()
+      .String("--socket", &config.socket_path)
+      .String("--model", &config.model_path)
+      .PositiveDuration("--batch-window", Seconds(1.0), &config.batch_window)
+      .Int("--max-batch", 1, 4096, &config.max_batch)
+      .Double("--shed-margin", 0.0, 100.0, &config.shed_margin)
+      .String("--metrics-out", &metrics_out)
+      .String("--chaos", &chaos_text)
+      .Switch("--supervise", &supervise)
+      .Int("--max-restarts", 0, 1000000, &max_restarts)
+      .Parse(argc, argv);
   if (config.model_path.empty()) {
     std::fprintf(stderr, "astraea_serve: --model is required (a trained actor checkpoint, "
                          "e.g. models/astraea_policy_trained.ckpt)\n");

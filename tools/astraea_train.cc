@@ -34,7 +34,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <string>
@@ -122,45 +121,21 @@ int Main(int argc, char** argv) {
   int shards = 8;
   bool randomize = false;
 
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--episodes") == 0) {
-      episodes = static_cast<int>(cli::ParseInt("--episodes", next(), 1, 1'000'000));
-    } else if (std::strcmp(argv[i], "--episode-len") == 0) {
-      episode_len_s = cli::ParseDouble("--episode-len", next(), 0.1, 36000.0);
-    } else if (std::strcmp(argv[i], "--envs") == 0) {
-      env_instances = static_cast<int>(cli::ParseInt("--envs", next(), 1, 64));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      workers = static_cast<int>(cli::ParseInt("--workers", next(), 1, 256));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = static_cast<int>(cli::ParseInt("--shards", next(), 1, 1024));
-    } else if (std::strcmp(argv[i], "--randomize") == 0) {
-      randomize = true;
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out = next();
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = next();
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
-      checkpoint_every = static_cast<int>(cli::ParseInt("--checkpoint-every", next(), 0, 1'000'000));
-    } else if (std::strcmp(argv[i], "--keep") == 0) {
-      keep = static_cast<int>(cli::ParseInt("--keep", next(), 1, 1000));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = cli::ParseU64("--seed", next());
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metrics_out = next();
-    } else if (std::strcmp(argv[i], "--print-config") == 0) {
-      print_config = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 1;
-    }
-  }
+  cli::FlagSet()
+      .Int("--episodes", 1, 1'000'000, &episodes)
+      .Double("--episode-len", 0.1, 36000.0, &episode_len_s)
+      .Int("--envs", 1, 64, &env_instances)
+      .Int("--workers", 1, 256, &workers)
+      .Int("--shards", 1, 1024, &shards)
+      .Switch("--randomize", &randomize)
+      .String("--out", &out)
+      .String("--resume", &resume)
+      .Int("--checkpoint-every", 0, 1'000'000, &checkpoint_every)
+      .Int("--keep", 1, 1000, &keep)
+      .U64("--seed", &seed)
+      .String("--metrics-out", &metrics_out)
+      .Switch("--print-config", &print_config)
+      .Parse(argc, argv);
 
   if (print_config) {
     const VectorizedTrainerConfig config;

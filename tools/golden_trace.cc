@@ -38,6 +38,7 @@
 #include "src/eval/scenario.h"
 #include "src/eval/scenario_universe.h"
 #include "src/sim/trace.h"
+#include "src/util/cli_flags.h"
 
 #ifndef ASTRAEA_SOURCE_DIR
 #define ASTRAEA_SOURCE_DIR "."
@@ -264,33 +265,15 @@ struct Args {
 
 Args Parse(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--check") == 0) {
-      a.check = true;
-    } else if (std::strcmp(argv[i], "--bless") == 0) {
-      a.bless = true;
-    } else if (std::strcmp(argv[i], "--list") == 0) {
-      a.list = true;
-    } else if (std::strcmp(argv[i], "--dir") == 0) {
-      a.dir = next("--dir");
-    } else if (std::strcmp(argv[i], "--traces") == 0) {
-      a.traces = next("--traces");
-    } else if (std::strcmp(argv[i], "--scheme") == 0) {
-      a.scheme = next("--scheme");
-    } else if (std::strcmp(argv[i], "--scenario") == 0) {
-      a.scenario = next("--scenario");
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --check, --bless or --list)\n", argv[i]);
-      std::exit(1);
-    }
-  }
+  cli::FlagSet()
+      .Switch("--check", &a.check)
+      .Switch("--bless", &a.bless)
+      .Switch("--list", &a.list)
+      .String("--dir", &a.dir)
+      .String("--traces", &a.traces)
+      .String("--scheme", &a.scheme)
+      .String("--scenario", &a.scenario)
+      .Parse(argc, argv);
   if (a.check + a.bless + a.list != 1) {
     std::fprintf(stderr, "exactly one of --check, --bless, --list is required\n");
     std::exit(1);

@@ -6,7 +6,6 @@
 //                [--trace-out run.trace] [--trace-format binary|jsonl]
 //                [--metrics-out metrics.json] [--model ckpt]
 //                [--serve-socket /tmp/astraea.sock] [--rpc-timeout 20ms]
-//                [--connect-timeout 500ms]
 //
 // Prints per-flow mean throughputs, the average Jain index, utilization and
 // latency, optionally with a 1-second throughput timeline.
@@ -23,11 +22,11 @@
 // traced run produces bit-identical results to an untraced one.
 //
 // A --trace-out, --csv or --metrics-out file that cannot be written ends the
-// run with exit 1 and `cannot write <path>` on stderr.
+// run with exit 1 and `cannot write <path>` on stderr, as does an unknown
+// flag, a flag with no value or a value out of range (cli::FlagSet).
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,66 +59,29 @@ struct Args {
 
 Args Parse(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scheme") == 0) {
-      a.scheme = next("--scheme");
-    } else if (std::strcmp(argv[i], "--flows") == 0) {
-      a.flows = static_cast<int>(cli::ParseInt("--flows", next("--flows"), 1, 10000));
-    } else if (std::strcmp(argv[i], "--bw") == 0) {
-      a.dumbbell.bw_mbps = cli::ParseDouble("--bw", next("--bw"), 0.001, 1e6);
-    } else if (std::strcmp(argv[i], "--rtt") == 0) {
-      a.dumbbell.rtt_ms = cli::ParseDouble("--rtt", next("--rtt"), 0.01, 60000.0);
-    } else if (std::strcmp(argv[i], "--buffer") == 0) {
-      a.dumbbell.buffer_bdp = cli::ParseDouble("--buffer", next("--buffer"), 0.001, 10000.0);
-    } else if (std::strcmp(argv[i], "--loss") == 0) {
-      a.dumbbell.loss = cli::ParseDouble("--loss", next("--loss"), 0.0, 1.0);
-    } else if (std::strcmp(argv[i], "--interval") == 0) {
-      a.interval_s = cli::ParseDouble("--interval", next("--interval"), 0.0, 1e6);
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      a.duration_s = cli::ParseDouble("--duration", next("--duration"), -1.0, 1e6);
-    } else if (std::strcmp(argv[i], "--until") == 0) {
-      a.until_s = cli::ParseDouble("--until", next("--until"), 0.1, 1e6);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      a.dumbbell.seed = cli::ParseU64("--seed", next("--seed"));
-    } else if (std::strcmp(argv[i], "--qdisc") == 0) {
-      a.dumbbell.qdisc = next("--qdisc");
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      a.dumbbell.trace_file = next("--trace");
-    } else if (std::strcmp(argv[i], "--model") == 0) {
-      a.policy.model = next("--model");
-    } else if (std::strcmp(argv[i], "--serve-socket") == 0) {
-      a.policy.serve_socket = next("--serve-socket");
-    } else if (std::strcmp(argv[i], "--rpc-timeout") == 0) {
-      a.policy.rpc_timeout =
-          cli::ParsePositiveDuration("--rpc-timeout", next("--rpc-timeout"), Seconds(60.0));
-    } else if (std::strcmp(argv[i], "--connect-timeout") == 0) {
-      a.policy.connect_timeout =
-          cli::ParsePositiveDuration("--connect-timeout", next("--connect-timeout"), Seconds(60.0));
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      a.csv_out = next("--csv");
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      a.trace_out = next("--trace-out");
-    } else if (std::strcmp(argv[i], "--trace-format") == 0) {
-      a.trace_format = next("--trace-format");
-      if (a.trace_format != "binary" && a.trace_format != "jsonl") {
-        std::fprintf(stderr, "--trace-format must be binary or jsonl\n");
-        std::exit(1);
-      }
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      a.metrics_out = next("--metrics-out");
-    } else if (std::strcmp(argv[i], "--timeline") == 0) {
-      a.timeline = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      std::exit(1);
-    }
+  cli::FlagSet flags;
+  flags.String("--scheme", &a.scheme)
+      .Int("--flows", 1, 10000, &a.flows)
+      .Double("--bw", 0.001, 1e6, &a.dumbbell.bw_mbps)
+      .Double("--rtt", 0.01, 60000.0, &a.dumbbell.rtt_ms)
+      .Double("--buffer", 0.001, 10000.0, &a.dumbbell.buffer_bdp)
+      .Double("--loss", 0.0, 1.0, &a.dumbbell.loss)
+      .Double("--interval", 0.0, 1e6, &a.interval_s)
+      .Double("--duration", -1.0, 1e6, &a.duration_s)
+      .Double("--until", 0.1, 1e6, &a.until_s)
+      .U64("--seed", &a.dumbbell.seed)
+      .String("--qdisc", &a.dumbbell.qdisc)
+      .String("--trace", &a.dumbbell.trace_file)
+      .String("--csv", &a.csv_out)
+      .String("--trace-out", &a.trace_out)
+      .String("--trace-format", &a.trace_format)
+      .String("--metrics-out", &a.metrics_out)
+      .Switch("--timeline", &a.timeline);
+  AddPolicyFlags(&flags, &a.policy);
+  flags.Parse(argc, argv);
+  if (a.trace_format != "binary" && a.trace_format != "jsonl") {
+    std::fprintf(stderr, "--trace-format must be binary or jsonl\n");
+    std::exit(1);
   }
   return a;
 }

@@ -10,7 +10,6 @@
 // (flow_id = -1) appear only in the stdout/all-flows output.
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,28 +35,11 @@ int Main(int argc, char** argv) {
   std::string out_prefix;
   int only_flow = INT32_MIN;
 
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--flow") == 0) {
-      only_flow = static_cast<int>(cli::ParseInt("--flow", next(), -1, 1'000'000));
-    } else if (std::strcmp(argv[i], "--out-prefix") == 0) {
-      out_prefix = next();
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 1;
-    } else if (in_path.empty()) {
-      in_path = argv[i];
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", argv[i]);
-      return 1;
-    }
-  }
+  cli::FlagSet()
+      .Int("--flow", -1, 1'000'000, &only_flow)
+      .String("--out-prefix", &out_prefix)
+      .Positional(&in_path)
+      .Parse(argc, argv);
   if (in_path.empty()) {
     std::fprintf(stderr,
                  "usage: trace_dump <trace-file> [--flow N] [--out-prefix PREFIX]\n");
